@@ -152,12 +152,12 @@ void BM_ShardedQueryShed(benchmark::State& state) {
     benchmark::DoNotOptimize(service.submit(f.requests[i++ & 4095]));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  const AdmissionStatsSnapshot admission = service.admission_stats();
+  const QueryServiceStats stats = service.stats();
   state.counters["shed_answer_share"] =
-      admission.shed_total() == 0
+      stats.shed_total() == 0
           ? 0.0
-          : static_cast<double>(admission.shed_with_answer) /
-                static_cast<double>(admission.shed_total());
+          : static_cast<double>(stats.shed_with_answer) /
+                static_cast<double>(stats.shed_total());
 }
 BENCHMARK(BM_ShardedQueryShed);
 

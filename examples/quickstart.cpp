@@ -77,9 +77,9 @@ int main() {
                 wpr.wrong_pairs(), wpr.total_pairs(), wpr.rate());
   }
 
-  // The service keeps per-status counters, a hop histogram, and latency
-  // percentiles for free:
-  const QueryStats::Snapshot stats = service.stats();
+  // The service accounts every query it serves — statuses, cache hits,
+  // latency and hop histograms, shedding — in one plain struct:
+  const QueryServiceStats stats = service.stats();
   std::printf("served %zu queries: %zu found, %zu not_found, "
               "%zu unsatisfiable, p99 latency <= %zu us\n",
               static_cast<std::size_t>(stats.total()),
@@ -87,6 +87,6 @@ int main() {
               static_cast<std::size_t>(stats.count(QueryStatus::kNotFound)),
               static_cast<std::size_t>(
                   stats.count(QueryStatus::kBandwidthUnsatisfiable)),
-              static_cast<std::size_t>(stats.latency_percentile_micros(99.0)));
+              static_cast<std::size_t>(stats.latency_micros.quantile(99.0)));
   return 0;
 }

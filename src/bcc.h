@@ -19,7 +19,8 @@
 //   // snapshot (refresh() after restructuring; serving never blocks it):
 //   bcc::QueryService service(sys, {.threads = 8});
 //   auto results = service.submit_batch(requests);           // one snapshot
-//   auto stats = service.stats();                            // statuses/hops/latency
+//   auto stats = service.stats();   // statuses, hops, latency, shedding
+//   auto p99_us = stats.latency_micros.quantile(99.0);
 #pragma once
 
 #include "common/csv.h"
@@ -56,7 +57,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/query_service.h"
-#include "serve/query_stats.h"
 #include "serve/snapshot.h"
 #include "serve/thread_pool.h"
 #include "stats/accuracy.h"

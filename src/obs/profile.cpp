@@ -35,6 +35,16 @@ std::mutex& arm_mutex() {
   return m;
 }
 
+/// The sampler's own frames: the profiler and its signal handler, and the
+/// signal-return trampoline when libc names it.
+bool is_handler_frame(std::string_view frame) {
+  for (std::string_view marker :
+       {"SamplingProfiler", "signal_handler", "restore_rt", "killpg"}) {
+    if (frame.find(marker) != std::string_view::npos) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 struct SamplingProfiler::OsState {
@@ -201,14 +211,7 @@ void SamplingProfiler::drain_ring_locked() {
     // the interrupted code, not the sampler.
     std::size_t begin = 0;
     const std::size_t depth = std::min<std::size_t>(slot.depth, kMaxFrames);
-    while (begin < depth) {
-      const std::string& sym = symbol_of(slot.pcs[begin]);
-      if (sym.find("SamplingProfiler") == std::string::npos &&
-          sym.find("signal_handler") == std::string::npos &&
-          sym.find("restore_rt") == std::string::npos &&
-          sym.find("killpg") == std::string::npos) {
-        break;
-      }
+    while (begin < depth && is_handler_frame(symbol_of(slot.pcs[begin]))) {
       ++begin;
     }
     key.clear();
@@ -285,6 +288,51 @@ SamplingProfiler& SamplingProfiler::global() {
   // destruction order games; the instance must never die first.
   static SamplingProfiler* instance = new SamplingProfiler();
   return *instance;
+}
+
+namespace {
+
+/// The frames of a folded stack, root first, minus the trailing signal
+/// frames.
+std::vector<std::string_view> frames_of(std::string_view stack) {
+  std::vector<std::string_view> frames;
+  for (std::size_t begin = 0; begin <= stack.size();) {
+    const std::size_t end = std::min(stack.find(';', begin), stack.size());
+    frames.push_back(stack.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  while (!frames.empty() && is_signal_frame(frames.back())) frames.pop_back();
+  return frames;
+}
+
+}  // namespace
+
+bool is_signal_frame(std::string_view frame) {
+  return is_handler_frame(frame) ||
+         (frame.starts_with("libc.so") &&
+          frame.find("+0x") != std::string_view::npos);
+}
+
+std::string_view stack_leaf(std::string_view stack) {
+  const auto frames = frames_of(stack);
+  return frames.empty() ? std::string_view{} : frames.back();
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> inclusive_totals(
+    const std::vector<std::pair<std::string, std::uint64_t>>& folded) {
+  std::unordered_map<std::string, std::uint64_t> totals;
+  for (const auto& [stack, samples] : folded) {
+    auto frames = frames_of(stack);
+    std::sort(frames.begin(), frames.end());  // a recursive frame counts once
+    frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
+    for (std::string_view frame : frames) totals[std::string(frame)] += samples;
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> out(totals.begin(),
+                                                         totals.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  return out;
 }
 
 }  // namespace bcc::obs

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -146,5 +147,22 @@ class SamplingProfiler {
   struct OsState;
   OsState* os_ = nullptr;
 };
+
+// -- reading a folded profile ---------------------------------------------
+// Folded stacks keep every frame for flamegraph tools, so each one still
+// ends in the frames signal delivery adds; summaries for people skip them.
+
+/// True for the profiler's handler frames and the signal-return trampoline,
+/// which libc may leave unnamed (`libc.so.6+0x3c050`). An unnamed genuine
+/// libc frame looks the same, so summaries charge it to its caller.
+bool is_signal_frame(std::string_view frame);
+
+/// The innermost non-signal frame of a folded stack ("" when none).
+std::string_view stack_leaf(std::string_view stack);
+
+/// Per-function inclusive sample totals (each function counted once per
+/// sample whose stack holds it, signal frames left out), hottest first.
+std::vector<std::pair<std::string, std::uint64_t>> inclusive_totals(
+    const std::vector<std::pair<std::string, std::uint64_t>>& folded);
 
 }  // namespace bcc::obs

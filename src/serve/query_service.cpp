@@ -14,78 +14,6 @@ namespace bcc {
 
 namespace {
 
-// Serving-layer instruments in the global registry (the per-service
-// QueryStats stays the precise per-instance view; these aggregate across
-// services for export).
-obs::Counter& g_queries() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.queries");
-  return c;
-}
-obs::Counter& g_cache_hits() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.cache_hits");
-  return c;
-}
-obs::Histogram& g_query_micros() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("bcc.serve.query_micros");
-  return h;
-}
-obs::Gauge& g_cache_hit_ratio() {
-  // kMean: a fleet-wide hit ratio is the average of the node ratios, not
-  // their max (the old policy quietly reported the luckiest node).
-  static obs::Gauge& g = obs::Registry::global().gauge(
-      "bcc.serve.cache_hit_ratio", obs::GaugeAgg::kMean);
-  return g;
-}
-
-// Shard-plane instruments: admission and shedding.
-obs::Counter& g_shard_admitted() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.admitted");
-  return c;
-}
-obs::Counter& g_shard_shed() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.shed");
-  return c;
-}
-obs::Counter& g_shard_shed_with_answer() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.shed_with_answer");
-  return c;
-}
-obs::Counter& g_shard_deadline_expired() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.deadline_expired");
-  return c;
-}
-obs::Gauge& g_shard_inflight() {
-  // kSum: in-flight queries add up across nodes; the fleet view wants the
-  // total load, not one shard's.
-  static obs::Gauge& g = obs::Registry::global().gauge(
-      "bcc.serve.shard.inflight", obs::GaugeAgg::kSum);
-  return g;
-}
-
-void record_query_obs(std::uint64_t micros, bool cache_hit,
-                      std::uint64_t trace_id) {
-  g_queries().add(1);
-  if (cache_hit) g_cache_hits().add(1);
-  // The trace id rides the latency histogram as a per-bucket exemplar, so a
-  // p99 spike in `bcc top` names a concrete query to pull the trace for.
-  g_query_micros().record_with_exemplar(micros, trace_id);
-  // Refreshing the ratio gauge sums every stripe of two counters (32 padded
-  // cache lines); sample it rather than paying that on each query. The first
-  // query still publishes so the gauge is live immediately.
-  thread_local std::uint32_t tick = 0;
-  if ((tick++ & 63u) == 0) {
-    g_cache_hit_ratio().set(static_cast<double>(g_cache_hits().value()) /
-                            static_cast<double>(g_queries().value()));
-  }
-}
-
 std::size_t resolve_threads(std::size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -105,8 +33,30 @@ bool cacheable(QueryStatus status) {
   return status == QueryStatus::kFound || status == QueryStatus::kNotFound;
 }
 
-/// Pairs QueryShard::admit's in-flight slot with its finish() on every
-/// return path.
+/// The kShed payload: the stale answer memoized from the last converged
+/// snapshot when the shard has one (kStaleFallback), else an empty
+/// well-formed reply (kShedEmpty). Never any routing work.
+QueryPath shed(QueryShard& shard, const QueryKey& key,
+               const SystemSnapshot& snap, QueryResult* result) {
+  // A stale payload (cluster/hops/route/class/snapshot_version) is kept as
+  // memoized; either way the reply is marked shed + degraded.
+  const bool stale = shard.stale_lookup(key, result);
+  if (!stale) {
+    result->snapshot_version = snap.version;
+    result->class_idx = key.class_idx;
+  }
+  result->status = QueryStatus::kShed;
+  result->degraded = true;
+  return stale ? QueryPath::kStaleFallback : QueryPath::kShedEmpty;
+}
+
+std::uint64_t nanos(std::chrono::steady_clock::duration d) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+}
+
+/// Pairs QueryShard::admit's in-flight slot with its finish() when
+/// serve_one returns.
 struct FinishGuard {
   QueryShard* shard = nullptr;
   ~FinishGuard() {
@@ -126,11 +76,9 @@ struct StageClock {
   std::uint64_t lap() {
     if (!on) return 0;
     const auto now = std::chrono::steady_clock::now();
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        now - mark)
-                        .count();
+    const std::uint64_t ns = nanos(now - mark);
     mark = now;
-    return static_cast<std::uint64_t>(ns);
+    return ns;
   }
 };
 
@@ -147,32 +95,87 @@ QueryService::QueryService(const DecentralizedClusterSystem& system,
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<QueryShard>());
+    histograms_.push_back(std::make_unique<ShardHistograms>());
   }
 }
 
-QueryResult QueryService::shed(QueryShard& shard, const QueryKey& key,
-                               const SystemSnapshot& snap,
-                               bool deadline_expired, bool* stale_answer) {
-  QueryResult result;
-  const bool stale = shard.stale_lookup(key, &result);
-  if (stale_answer != nullptr) *stale_answer = stale;
+void QueryService::account(std::size_t shard_idx, const QueryResult& result,
+                           QueryPath path, ShedReason reason) {
+  ShardHistograms& histograms = *histograms_[shard_idx];
+  const bool admitted = options_.admission.enabled() &&
+                        path != QueryPath::kBypass &&
+                        reason == ShedReason::kNone;
+  const bool cache_hit = path == QueryPath::kCacheHit;
+  const bool stale = path == QueryPath::kStaleFallback;
+
+  // Totals first, then (past a release fence) the counts that are subsets of
+  // them; stats() reads in the opposite order behind an acquire fence, so a
+  // copy never shows more cache hits, hops or stale answers than queries.
+  by_status_[static_cast<std::size_t>(result.status)].add();
+  histograms.latency_micros.record(result.micros);
+  if (admitted) admitted_.add();
+  switch (reason) {
+    case ShedReason::kNone: break;
+    case ShedReason::kQueueFull: shed_queue_full_.add(); break;
+    case ShedReason::kNoTokens: shed_no_tokens_.add(); break;
+    case ShedReason::kDeadline: deadline_expired_.add(); break;
+  }
+  std::atomic_thread_fence(std::memory_order_release);
+  if (cache_hit) cache_hits_.add();
+  if (cacheable(result.status)) histograms.hops.record(result.hops);
+  if (stale) shed_with_answer_.add();
+
+  // The global instruments aggregate across services for export. Each one
+  // registers where it is first needed, so an export lists only the serve
+  // metrics this process has touched.
+  static obs::Counter& queries =
+      obs::Registry::global().counter("bcc.serve.queries");
+  static obs::Counter& cache_hits =
+      obs::Registry::global().counter("bcc.serve.cache_hits");
+  static obs::Histogram& query_micros =
+      obs::Registry::global().histogram("bcc.serve.query_micros");
+  // kMean: a fleet-wide hit ratio is the average of the node ratios, not
+  // their max (the old policy quietly reported the luckiest node).
+  static obs::Gauge& cache_hit_ratio = obs::Registry::global().gauge(
+      "bcc.serve.cache_hit_ratio", obs::GaugeAgg::kMean);
+  queries.add(1);
+  if (cache_hit) cache_hits.add(1);
+  // The trace id rides the latency histogram as a per-bucket exemplar, so a
+  // p99 spike in `bcc top` names a concrete query to pull the trace for.
+  query_micros.record_with_exemplar(result.micros, result.trace_id);
+  // Refreshing the ratio gauge sums every stripe of two counters (32 padded
+  // cache lines); sample it rather than paying that on each query. The first
+  // query still publishes so the gauge is live immediately.
+  thread_local std::uint32_t tick = 0;
+  if ((tick++ & 63u) == 0) {
+    cache_hit_ratio.set(static_cast<double>(cache_hits.value()) /
+                        static_cast<double>(queries.value()));
+  }
+  if (admitted) {
+    static obs::Counter& shard_admitted =
+        obs::Registry::global().counter("bcc.serve.shard.admitted");
+    // kSum: in-flight queries add up across nodes; the fleet view wants the
+    // total load, not one shard's.
+    static obs::Gauge& shard_inflight = obs::Registry::global().gauge(
+        "bcc.serve.shard.inflight", obs::GaugeAgg::kSum);
+    shard_admitted.add(1);
+    shard_inflight.set(static_cast<double>(shards_[shard_idx]->inflight()));
+  }
+  if (reason != ShedReason::kNone) {
+    static obs::Counter& shard_shed =
+        obs::Registry::global().counter("bcc.serve.shard.shed");
+    shard_shed.add(1);
+  }
   if (stale) {
-    // The payload (cluster/hops/route/class/snapshot_version) is the answer
-    // last memoized from a converged snapshot; keep it, mark it shed+stale.
-    shed_with_answer_.fetch_add(1, std::memory_order_relaxed);
-    g_shard_shed_with_answer().add(1);
-  } else {
-    result.snapshot_version = snap.version;
-    result.class_idx = key.class_idx;
+    static obs::Counter& shard_shed_with_answer =
+        obs::Registry::global().counter("bcc.serve.shard.shed_with_answer");
+    shard_shed_with_answer.add(1);
   }
-  result.status = QueryStatus::kShed;
-  result.degraded = true;
-  if (deadline_expired) {
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    g_shard_deadline_expired().add(1);
+  if (reason == ShedReason::kDeadline) {
+    static obs::Counter& shard_deadline_expired =
+        obs::Registry::global().counter("bcc.serve.shard.deadline_expired");
+    shard_deadline_expired.add(1);
   }
-  g_shard_shed().add(1);
-  return result;
 }
 
 QueryResult QueryService::serve_one(const SystemSnapshot& snap,
@@ -181,42 +184,13 @@ QueryResult QueryService::serve_one(const SystemSnapshot& snap,
                                     std::uint64_t epoch_pin_ns) {
   obs::Span span(obs::SpanCategory::kServe, "serve_query");
   const auto t0 = std::chrono::steady_clock::now();
-  QueryProfile prof;
   StageClock clock{request.profile, t0};
-  if (request.profile) {
-    prof.queue_ns = queued_micros * 1000;
-    prof.epoch_pin_ns = epoch_pin_ns;
-    prof.snapshot_version = snap.version;
-  }
-  // Runs on every return path; cached and stale results get the *current*
-  // span's trace id, not the one they were computed under. `final_stage` is
-  // the profile stage this path ended in: its lap closes at the SAME clock
-  // read that defines total_ns, so stages telescope to the total exactly.
-  auto stamp = [&](QueryResult& r, QueryPath path,
-                   std::uint64_t QueryProfile::*final_stage) {
-    const auto now = std::chrono::steady_clock::now();
-    r.micros = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(now - t0)
-            .count());
-    r.trace_id = span.trace_id();
-    if (request.profile) {
-      prof.*final_stage += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                               clock.mark)
-              .count());
-      prof.path = path;
-      prof.total_ns =
-          prof.queue_ns + prof.epoch_pin_ns +
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(now - t0)
-                  .count());
-      r.profile = prof;
-    }
-  };
+  QueryProfile prof;  // copied into the result only when requested
+  prof.queue_ns = queued_micros * 1000;
+  prof.epoch_pin_ns = epoch_pin_ns;
+  prof.snapshot_version = snap.version;
 
-  // Validate up front (same precedence as QueryProcessor::run). Argument
-  // errors bypass admission control entirely: they cost nanoseconds, and
-  // shedding them would only mask caller bugs under load.
+  // Validate up front (same precedence as QueryProcessor::run).
   QueryResult result;
   const auto cls = resolve_class(request, snap.classes);
   if (request.k < 2) {
@@ -226,84 +200,73 @@ QueryResult QueryService::serve_one(const SystemSnapshot& snap,
   } else if (!snap.nodes.count(request.start)) {
     result.status = QueryStatus::kUnknownStart;
   }
-  if (result.status != QueryStatus::kNotFound) {  // argument error
-    result.snapshot_version = snap.version;
-    result.degraded = !snap.converged;
-    const QueryKey err_key{request.start, request.k, cls.value_or(0)};
-    if (request.profile) {
-      prof.shard =
-          static_cast<std::uint32_t>(QueryKeyHash{}(err_key) % shards_.size());
-    }
-    stamp(result, QueryPath::kBypass, &QueryProfile::validate_ns);
-    shard_for(err_key).stats().record(result);
-    record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
-    return result;
-  }
-
-  const QueryKey key{request.start, request.k, *cls};
+  const QueryKey key{request.start, request.k, cls.value_or(0)};
   const std::size_t shard_idx = QueryKeyHash{}(key) % shards_.size();
   QueryShard& shard = *shards_[shard_idx];
-  if (request.profile) {
-    prof.shard = static_cast<std::uint32_t>(shard_idx);
-    prof.validate_ns = clock.lap();
-  }
+  prof.shard = static_cast<std::uint32_t>(shard_idx);
 
-  // A query that already waited past its deadline is shed, never served
-  // late (only batch fanout introduces waiting; direct submit passes 0).
-  // The shed path's work is a stale-cache probe, so its lap lands in
-  // cache_ns.
-  bool stale = false;
-  if (request.deadline_micros > 0 && queued_micros > request.deadline_micros) {
-    result = shed(shard, key, snap, /*deadline_expired=*/true, &stale);
-    stamp(result,
-          stale ? QueryPath::kStaleFallback : QueryPath::kShedEmpty,
-          &QueryProfile::cache_ns);
-    shard.stats().record(result);
-    record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
-    return result;
-  }
-
+  QueryPath path = QueryPath::kCompute;
+  ShedReason shed_reason = ShedReason::kNone;
   FinishGuard fin;
-  if (options_.admission.enabled()) {
-    const AdmitDecision decision =
-        shard.admit(options_.admission, request.priority, now_micros());
-    if (decision != AdmitDecision::kAdmitted) {
-      auto& counter = decision == AdmitDecision::kShedQueueFull
-                          ? shed_queue_full_
-                          : shed_no_tokens_;
-      counter.fetch_add(1, std::memory_order_relaxed);
-      prof.admission_ns = clock.lap();
-      result = shed(shard, key, snap, /*deadline_expired=*/false, &stale);
-      stamp(result,
-            stale ? QueryPath::kStaleFallback : QueryPath::kShedEmpty,
-            &QueryProfile::cache_ns);
-      shard.stats().record(result);
-      record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
-      return result;
+  if (result.status != QueryStatus::kNotFound) {
+    // Argument errors bypass admission control entirely: they cost
+    // nanoseconds, and shedding them would only mask caller bugs under load.
+    result.snapshot_version = snap.version;
+    result.degraded = !snap.converged;
+    path = QueryPath::kBypass;
+  } else {
+    // A query that already waited past its deadline is shed, never served
+    // late (only batch fanout introduces waiting; direct submit passes 0).
+    if (request.deadline_micros > 0 &&
+        queued_micros > request.deadline_micros) {
+      shed_reason = ShedReason::kDeadline;
     }
-    fin.shard = &shard;
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    g_shard_admitted().add(1);
-    g_shard_inflight().set(static_cast<double>(shard.inflight()));
+    prof.validate_ns = clock.lap();
+    if (shed_reason == ShedReason::kNone && options_.admission.enabled()) {
+      const AdmitDecision decision =
+          shard.admit(options_.admission, request.priority, now_micros());
+      if (decision == AdmitDecision::kAdmitted) {
+        fin.shard = &shard;
+      } else {
+        shed_reason = decision == AdmitDecision::kShedQueueFull
+                          ? ShedReason::kQueueFull
+                          : ShedReason::kNoTokens;
+      }
+    }
+    prof.admission_ns = clock.lap();
+    // The shed path's work is a stale-cache probe, so its lap lands in
+    // cache_ns, like a cache hit's.
+    if (shed_reason != ShedReason::kNone) {
+      path = shed(shard, key, snap, &result);
+    } else if (options_.cache_enabled &&
+               shard.cache_lookup(key, snap.version, &result)) {
+      path = QueryPath::kCacheHit;
+    } else {
+      prof.cache_ns = clock.lap();
+      result = snap.run(request);
+    }
   }
-  prof.admission_ns += clock.lap();
 
-  if (options_.cache_enabled && shard.cache_lookup(key, snap.version,
-                                                   &result)) {
-    stamp(result, QueryPath::kCacheHit, &QueryProfile::cache_ns);
-    shard.stats().record(result, /*cache_hit=*/true);
-    record_query_obs(result.micros, /*cache_hit=*/true, result.trace_id);
-    return result;
+  // Stamped once, on the outcome: cached and stale results get the
+  // *current* span's trace id, not the one they were computed under.
+  const auto now = std::chrono::steady_clock::now();
+  result.micros = nanos(now - t0) / 1000;
+  result.trace_id = span.trace_id();
+  if (request.profile) {
+    // The stage this path ended in closes at the same clock read that
+    // defines total_ns, so the stages telescope to the total exactly.
+    (path == QueryPath::kCompute  ? prof.compute_ns
+     : path == QueryPath::kBypass ? prof.validate_ns
+                                  : prof.cache_ns) += nanos(now - clock.mark);
+    prof.path = path;
+    prof.total_ns = prof.queue_ns + prof.epoch_pin_ns + nanos(now - t0);
+    result.profile = prof;
   }
-  prof.cache_ns = clock.lap();
-
-  result = snap.run(request);
-  stamp(result, QueryPath::kCompute, &QueryProfile::compute_ns);
-  if (options_.cache_enabled && cacheable(result.status)) {
+  if (path == QueryPath::kCompute && options_.cache_enabled &&
+      cacheable(result.status)) {
     shard.cache_store(key, snap.version, result, snap.converged);
   }
-  shard.stats().record(result);
-  record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
+  account(shard_idx, result, path, shed_reason);
   return result;
 }
 
@@ -314,10 +277,8 @@ QueryResult QueryService::submit(const QueryRequest& request) {
   if (request.profile) {
     const auto pin_t0 = std::chrono::steady_clock::now();
     const auto guard = snapshot_.read();
-    const auto pin_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - pin_t0)
-            .count());
+    const std::uint64_t pin_ns =
+        nanos(std::chrono::steady_clock::now() - pin_t0);
     return serve_one(*guard, request, /*queued_micros=*/0, pin_ns);
   }
   const auto guard = snapshot_.read();
@@ -408,28 +369,41 @@ std::shared_ptr<const SystemSnapshot> QueryService::snapshot() const {
   return snapshot_.current_shared();
 }
 
-QueryStats::Snapshot QueryService::stats() const {
-  QueryStats::Snapshot total{};
-  for (const auto& shard : shards_) total.merge(shard->stats().snapshot());
-  return total;
+QueryServiceStats QueryService::stats() const {
+  // Subsets before the acquire fence, totals after it (see account()).
+  QueryServiceStats s;
+  for (const auto& h : histograms_) s.hops.merge_from(h->hops.snapshot());
+  s.cache_hits = cache_hits_.value();
+  s.shed_with_answer = shed_with_answer_.value();
+  std::atomic_thread_fence(std::memory_order_acquire);
+  for (std::size_t i = 0; i < kQueryStatusCount; ++i) {
+    s.by_status[i] = by_status_[i].value();
+  }
+  for (const auto& h : histograms_) {
+    s.latency_micros.merge_from(h->latency_micros.snapshot());
+  }
+  s.admitted = admitted_.value();
+  s.shed_queue_full = shed_queue_full_.value();
+  s.shed_no_tokens = shed_no_tokens_.value();
+  s.deadline_expired = deadline_expired_.value();
+  for (const auto& shard : shards_) {
+    s.peak_shard_inflight =
+        std::max(s.peak_shard_inflight, shard->peak_inflight());
+  }
+  return s;
 }
 
 void QueryService::reset_stats() {
-  for (const auto& shard : shards_) shard->stats().reset();
-}
-
-AdmissionStatsSnapshot QueryService::admission_stats() const {
-  AdmissionStatsSnapshot s;
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_no_tokens = shed_no_tokens_.load(std::memory_order_relaxed);
-  s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  s.shed_with_answer = shed_with_answer_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    s.peak_shard_inflight = std::max(s.peak_shard_inflight,
-                                     shard->peak_inflight());
+  for (obs::Counter& c : by_status_) c.reset();
+  for (obs::Counter* c : {&cache_hits_, &admitted_, &shed_queue_full_,
+                          &shed_no_tokens_, &deadline_expired_,
+                          &shed_with_answer_}) {
+    c->reset();
   }
-  return s;
+  for (const auto& h : histograms_) {
+    h->latency_micros.reset();
+    h->hops.reset();
+  }
 }
 
 }  // namespace bcc

@@ -16,8 +16,13 @@
 //     Restructuring never blocks serving and serving never blocks
 //     restructuring; retired snapshots are reclaimed after a grace period;
 //   * every request hashes to a QueryShard (src/serve/shard.h) owning its
-//     own memo cache, QueryStats, and admission state — cores serving
-//     different shards share nothing.
+//     own memo cache and admission state — cores serving different shards
+//     share no cache map, and record into per-shard latency/hop histograms.
+//
+// Every served query is accounted exactly once, after its outcome is known:
+// account() reads the QueryPath, the status and the shed reason, and records
+// into this service's own obs instruments (read back through stats()) and
+// into the global bcc.serve.* / bcc.serve.shard.* instruments.
 //
 // When admission control is on (options.admission) an overloaded shard
 // sheds instead of queueing: the response comes back with
@@ -33,14 +38,16 @@
 // at once is allowed (versions stay monotonic) but pointless.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <span>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/epoch.h"
-#include "serve/query_stats.h"
 #include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "serve/thread_pool.h"
@@ -52,25 +59,35 @@ struct QueryServiceOptions {
   std::size_t threads = 0;
   /// Memoize per-(start, k, class) results until the next snapshot swap.
   bool cache_enabled = true;
-  /// Query-plane shard count: each shard owns a cache partition, a stats
-  /// instance, and its admission state.
+  /// Query-plane shard count: each shard owns a cache partition and its
+  /// admission state.
   std::size_t shards = 16;
   /// Per-shard admission control; default-constructed = admit everything.
   AdmissionOptions admission;
 };
 
-/// Aggregated admission/shedding counters across all shards (all zero when
-/// admission control is disabled and no deadlines are set).
-struct AdmissionStatsSnapshot {
+/// Service-wide serving statistics: a plain-data copy of the instruments
+/// QueryService::account() records every served query into.
+struct QueryServiceStats {
+  std::array<std::uint64_t, kQueryStatusCount> by_status{};
+  std::uint64_t cache_hits = 0;             ///< answers from the memo cache
+  obs::Histogram::Snapshot latency_micros;  ///< every query's serve time
+  obs::Histogram::Snapshot hops;  ///< forwards of routed (found/not-found)
+  // Admission control: all zero when it is off and no deadlines are set.
   std::uint64_t admitted = 0;
   std::uint64_t shed_queue_full = 0;
   std::uint64_t shed_no_tokens = 0;
   std::uint64_t deadline_expired = 0;
-  /// Of the shed responses, how many carried a stale best-effort payload.
-  std::uint64_t shed_with_answer = 0;
-  /// Max concurrently served queries observed on any one shard.
-  std::size_t peak_shard_inflight = 0;
+  std::uint64_t shed_with_answer = 0;   ///< shed replies with a stale payload
+  std::size_t peak_shard_inflight = 0;  ///< max in flight on any one shard
 
+  std::uint64_t count(QueryStatus status) const {
+    return by_status[static_cast<std::size_t>(status)];
+  }
+  std::uint64_t total() const {
+    return std::accumulate(by_status.begin(), by_status.end(),
+                           std::uint64_t{0});
+  }
   std::uint64_t shed_total() const {
     return shed_queue_full + shed_no_tokens + deadline_expired;
   }
@@ -111,11 +128,13 @@ class QueryService {
   std::uint64_t snapshot_version() const { return snapshot()->version; }
 
   const QueryServiceOptions& options() const { return options_; }
-  /// Service-wide stats: per-shard QueryStats merged into one snapshot.
-  QueryStats::Snapshot stats() const;
+  /// Copy of the service's instruments. Safe against concurrent submits:
+  /// totals never decrease between calls, and cache_hits, hops.count and
+  /// shed_with_answer never exceed the totals they are subsets of.
+  QueryServiceStats stats() const;
+  /// Zeroes the service's instruments (the global registry is untouched).
   void reset_stats();
 
-  AdmissionStatsSnapshot admission_stats() const;
   /// Queries currently being served across all shards (0 once quiescent —
   /// the serving "queue" is bounded by shards * admission.queue_limit).
   std::size_t shards_inflight_now() const {
@@ -127,6 +146,9 @@ class QueryService {
   std::size_t snapshots_in_limbo() const { return snapshot_.limbo_size(); }
 
  private:
+  /// Why a query was shed; kNone when it was served (or bypassed admission).
+  enum class ShedReason { kNone, kQueueFull, kNoTokens, kDeadline };
+
   /// epoch_pin_ns is what the caller already spent pinning the snapshot —
   /// nonzero only for profiled direct submits (a batch shares one pin, so
   /// per-query attribution would be a lie).
@@ -134,15 +156,10 @@ class QueryService {
                         const QueryRequest& request,
                         std::uint64_t queued_micros,
                         std::uint64_t epoch_pin_ns = 0);
-  /// The kShed path: best-effort stale payload, never any routing work.
-  /// *stale_answer reports whether a memoized payload was attached (the
-  /// explain profile's kStaleFallback / kShedEmpty distinction).
-  QueryResult shed(QueryShard& shard, const QueryKey& key,
-                   const SystemSnapshot& snap, bool deadline_expired,
-                   bool* stale_answer = nullptr);
-  QueryShard& shard_for(const QueryKey& key) {
-    return *shards_[QueryKeyHash{}(key) % shards_.size()];
-  }
+  /// The one accounting call per served query, made once its outcome is
+  /// known; records into the instance and the global instruments.
+  void account(std::size_t shard_idx, const QueryResult& result,
+               QueryPath path, ShedReason reason);
 
   QueryServiceOptions options_;
   ThreadPool pool_;
@@ -152,12 +169,15 @@ class QueryService {
   std::mutex refresh_mutex_;        // serializes version allocation + publish
   std::uint64_t next_version_ = 2;  // guarded by refresh_mutex_
 
-  // Service-wide admission counters (relaxed: diagnostics, not invariants).
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_no_tokens_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> shed_with_answer_{0};
+  // Instance instruments, written only by account(). Histograms are not
+  // striped like counters, so each shard has its own pair; stats() merges.
+  struct alignas(64) ShardHistograms {
+    obs::Histogram latency_micros, hops;
+  };
+  std::array<obs::Counter, kQueryStatusCount> by_status_;
+  obs::Counter cache_hits_, admitted_, shed_queue_full_, shed_no_tokens_,
+      deadline_expired_, shed_with_answer_;
+  std::vector<std::unique_ptr<ShardHistograms>> histograms_;  // per shard
 };
 
 }  // namespace bcc

@@ -78,12 +78,6 @@ void QueryShard::cache_store(const QueryKey& key, std::uint64_t version,
   }
 }
 
-void QueryShard::cache_clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  fresh_.clear();
-  stale_.clear();
-}
-
 bool QueryShard::stale_lookup(const QueryKey& key, QueryResult* out) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = stale_.find(key);

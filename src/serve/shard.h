@@ -1,5 +1,5 @@
-// One shard of the query plane: memo cache, stats, and admission control,
-// all private to the shard so cores serving different shards never touch a
+// One shard of the query plane: memo cache and admission control, both
+// private to the shard so cores serving different shards never touch a
 // shared cache line.
 //
 // QueryService hashes every request (start, k, resolved class) to a shard;
@@ -12,8 +12,6 @@
 //     snapshot, kept across swaps, consulted only by the load-shedding path
 //     so a shed query can still get a well-formed degraded answer without
 //     doing any routing work;
-//   * a QueryStats instance (aggregated across shards by
-//     QueryService::stats());
 //   * the admission controller — a token bucket plus an in-flight ceiling
 //     (the bounded per-shard "queue": submit() is synchronous, so in-flight
 //     count is queue depth). Under overload the controller sheds instead of
@@ -30,7 +28,6 @@
 #include <unordered_map>
 
 #include "core/query.h"
-#include "serve/query_stats.h"
 
 namespace bcc {
 
@@ -132,17 +129,11 @@ class QueryShard {
   /// advanced past it). `converged` results also feed the stale cache.
   void cache_store(const QueryKey& key, std::uint64_t version,
                    const QueryResult& result, bool converged);
-  void cache_clear();
 
   // -- stale answers for the shedding path --------------------------------
   /// Best-effort answer from the last converged snapshot that memoized this
   /// key; no routing work. True on hit.
   bool stale_lookup(const QueryKey& key, QueryResult* out);
-
-  /// Per-shard serving statistics (aggregate with QueryStats::Snapshot::
-  /// merge via QueryService::stats()).
-  QueryStats& stats() { return stats_; }
-  const QueryStats& stats() const { return stats_; }
 
  private:
   // In-flight is atomic (hot path, no mutex); everything else under mutex_.
@@ -161,8 +152,6 @@ class QueryShard {
   bool bucket_primed_ = false;
   double tokens_ = 0.0;
   std::uint64_t last_refill_micros_ = 0;
-
-  QueryStats stats_;
 };
 
 }  // namespace bcc

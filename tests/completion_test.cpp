@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "data/planetlab_synth.h"
+#include "test_util.h"
 
 namespace bcc {
 namespace {
@@ -131,9 +132,8 @@ TEST(Completion, CompleteSubmatrixRejectsGaps) {
 }
 
 TEST(Completion, LoadPartialCsvTreatsNonPositiveAsMissing) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "bcc_completion_test";
-  std::filesystem::create_directories(dir);
+  const testutil::TempDir tmp;
+  const auto& dir = tmp.path();
   {
     std::ofstream os(dir / "raw.csv");
     os << "0,40,0\n60,0,10\n0,12,0\n";
@@ -144,13 +144,11 @@ TEST(Completion, LoadPartialCsvTreatsNonPositiveAsMissing) {
   EXPECT_DOUBLE_EQ(raw.at(0, 1).value(), 50.0);   // both directions: average
   EXPECT_FALSE(raw.at(0, 2).has_value());         // neither measured
   EXPECT_DOUBLE_EQ(raw.at(1, 2).value(), 11.0);   // both: average
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Completion, LoadPartialCsvSingleDirection) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "bcc_completion_test2";
-  std::filesystem::create_directories(dir);
+  const testutil::TempDir tmp;
+  const auto& dir = tmp.path();
   {
     std::ofstream os(dir / "raw.csv");
     os << "0,25\n0,0\n";  // only forward measured
@@ -158,20 +156,17 @@ TEST(Completion, LoadPartialCsvSingleDirection) {
   const PartialBandwidthMatrix raw =
       load_partial_bandwidth_csv((dir / "raw.csv").string());
   EXPECT_DOUBLE_EQ(raw.at(0, 1).value(), 25.0);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Completion, LoadPartialCsvRejectsNonSquare) {
-  const auto dir =
-      std::filesystem::temp_directory_path() / "bcc_completion_test3";
-  std::filesystem::create_directories(dir);
+  const testutil::TempDir tmp;
+  const auto& dir = tmp.path();
   {
     std::ofstream os(dir / "raw.csv");
     os << "0,1,2\n1,0,3\n";
   }
   EXPECT_THROW(load_partial_bandwidth_csv((dir / "raw.csv").string()),
                std::runtime_error);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Completion, PipelineEndToEnd) {

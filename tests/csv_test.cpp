@@ -6,30 +6,21 @@
 #include <filesystem>
 #include <fstream>
 
+#include "test_util.h"
+
 namespace bcc {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Per-test directory: ctest runs each TEST as its own process, possibly
-    // in parallel, and a shared directory lets one test's TearDown delete
-    // another's files mid-write.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = std::filesystem::temp_directory_path() /
-           (std::string("bcc_csv_test_") + info->name());
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) const { return (dir_ / name).string(); }
+  std::string path(const std::string& name) const { return dir_.file(name); }
 
   void write_file(const std::string& name, const std::string& content) {
     std::ofstream os(path(name));
     os << content;
   }
 
-  std::filesystem::path dir_;
+  const testutil::TempDir dir_;
 };
 
 TEST_F(CsvTest, RoundTripMatrix) {
@@ -80,7 +71,7 @@ TEST_F(CsvTest, MissingFileRejected) {
 }
 
 TEST_F(CsvTest, UnwritablePathRejected) {
-  EXPECT_THROW(write_matrix_csv((dir_ / "no" / "dir" / "f.csv").string(), {{1}}),
+  EXPECT_THROW(write_matrix_csv((dir_.path() / "no" / "dir" / "f.csv").string(), {{1}}),
                std::runtime_error);
 }
 

@@ -5,26 +5,20 @@
 #include <filesystem>
 #include <fstream>
 
+#include "test_util.h"
+
 namespace bcc {
 namespace {
 
 class DatasetIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "bcc_dataset_io_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
+  std::string path(const std::string& name) const { return dir_.file(name); }
   void write_file(const std::string& name, const std::string& content) {
     std::ofstream os(path(name));
     os << content;
   }
 
-  std::filesystem::path dir_;
+  const testutil::TempDir dir_;
 };
 
 TEST_F(DatasetIoTest, BandwidthRoundTrip) {
@@ -77,8 +71,8 @@ TEST_F(DatasetIoTest, DatasetRoundTripWithTree) {
   options.hosts = 12;
   options.name = "round";
   const SynthDataset data = synthesize_planetlab(options, rng);
-  save_dataset(data, dir_.string());
-  const SynthDataset loaded = load_dataset("round", dir_.string(), data.c);
+  save_dataset(data, dir_.path().string());
+  const SynthDataset loaded = load_dataset("round", dir_.path().string(), data.c);
   ASSERT_EQ(loaded.bandwidth.size(), 12u);
   ASSERT_EQ(loaded.tree_distances.size(), 12u);
   for (NodeId u = 0; u < 12; ++u) {
@@ -98,13 +92,13 @@ TEST_F(DatasetIoTest, DatasetLoadsWithoutTreeFile) {
   options.name = "notree";
   const SynthDataset data = synthesize_planetlab(options, rng);
   save_bandwidth_csv(path("notree.bw.csv"), data.bandwidth);
-  const SynthDataset loaded = load_dataset("notree", dir_.string());
+  const SynthDataset loaded = load_dataset("notree", dir_.path().string());
   EXPECT_EQ(loaded.bandwidth.size(), 8u);
   EXPECT_EQ(loaded.tree_distances.size(), 0u);
 }
 
 TEST_F(DatasetIoTest, MissingDatasetThrows) {
-  EXPECT_THROW(load_dataset("ghost", dir_.string()), std::runtime_error);
+  EXPECT_THROW(load_dataset("ghost", dir_.path().string()), std::runtime_error);
 }
 
 }  // namespace

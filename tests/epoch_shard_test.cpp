@@ -334,15 +334,14 @@ TEST(QueryServiceOverload, ShedsInsteadOfQueueingUnboundedly) {
   for (auto& h : hammers) h.join();
   ASSERT_FALSE(failed.load());
 
-  const auto admission = service.admission_stats();
   const auto stats = service.stats();
   const std::uint64_t total = kThreads * kQueriesPerThread;
   EXPECT_EQ(stats.total(), total);
-  EXPECT_EQ(stats.count(QueryStatus::kShed), admission.shed_total());
+  EXPECT_EQ(stats.count(QueryStatus::kShed), stats.shed_total());
   // ~8k submissions race a 2k qps bucket: overload must actually shed…
-  EXPECT_GT(admission.shed_total(), 0u);
+  EXPECT_GT(stats.shed_total(), 0u);
   // …while the bounded queue held: in-flight never passed queue_limit.
-  EXPECT_LE(admission.peak_shard_inflight, options.admission.queue_limit);
+  EXPECT_LE(stats.peak_shard_inflight, options.admission.queue_limit);
   EXPECT_EQ(service.shards_inflight_now(), 0u);
 }
 
@@ -372,7 +371,7 @@ TEST(QueryServiceOverload, ShedAnswersComeFromTheLastConvergedSnapshot) {
   EXPECT_TRUE(shed.degraded);
   EXPECT_EQ(shed.cluster, warm.cluster);  // the stale best-effort payload
   EXPECT_EQ(shed.snapshot_version, 1u);
-  EXPECT_EQ(tight.admission_stats().shed_with_answer, 1u);
+  EXPECT_EQ(tight.stats().shed_with_answer, 1u);
 
   // A key never memoized sheds with an empty (but well-formed) payload.
   const auto cold = tight.submit(QueryRequest::at_class(5, 3, 1));
@@ -408,7 +407,7 @@ TEST(QueryServiceOverload, ExpiredDeadlinesAreShedNotServedLate) {
                   r.status == QueryStatus::kNotFound);
     }
   }
-  EXPECT_EQ(service.admission_stats().deadline_expired, shed);
+  EXPECT_EQ(service.stats().deadline_expired, shed);
   EXPECT_GT(shed, 0u);  // 512 queries cannot all start within 1us
 
   // Without a deadline nothing is shed (admission is off).

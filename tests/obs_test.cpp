@@ -27,6 +27,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "sim/fault.h"
+#include "test_util.h"
 
 namespace bcc::obs {
 namespace {
@@ -919,8 +920,8 @@ TEST(ObsExport, NonFiniteGaugesExportAsZero) {
 // ------------------------------------------------------------ bench report
 
 TEST(ObsBenchReport, WritesJsonFileToBenchOutDir) {
-  const auto dir = std::filesystem::temp_directory_path() / "bcc_obs_test";
-  std::filesystem::create_directories(dir);
+  const testutil::TempDir tmp;
+  const auto& dir = tmp.path();
   ASSERT_EQ(setenv("BCC_BENCH_OUT", dir.c_str(), 1), 0);
   BenchReport report("unit");
   report.set("bcc.bench.unit.answer", 42.0);
@@ -935,7 +936,6 @@ TEST(ObsBenchReport, WritesJsonFileToBenchOutDir) {
   const std::string content(buf, n);
   EXPECT_NE(content.find("\"bench\":\"unit\""), std::string::npos);
   EXPECT_NE(content.find("\"bcc.bench.unit.answer\": 42"), std::string::npos);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ObsBenchReport, RejectsBadNames) {
@@ -1159,6 +1159,37 @@ TEST(ObsProfiler, StopWithoutStartIsIdempotent) {
   EXPECT_FALSE(profiler.running());
   EXPECT_EQ(profiler.samples(), 0u);
   EXPECT_TRUE(profiler.folded().empty());
+}
+
+// A synthetic folded profile shaped like a real one: every stack ends in the
+// signal-return trampoline, which glibc may leave unnamed.
+TEST(ObsProfiler, SummarySkipsSignalFramesAndTotalsInclusively) {
+  const std::vector<std::pair<std::string, std::uint64_t>> folded = {
+      {"main;bcc::gossip;bcc::self_crt;bcc::max_cluster;libc.so.6+0x3c050",
+       60},
+      {"main;bcc::gossip;bcc::max_cluster;libc.so.6+0x3c050", 30},
+      {"main;bcc::query;bcc::walk;bcc::walk;__restore_rt", 8},
+      {"main;bcc::query;bcc::SamplingProfiler::capture", 2},
+      {"libc.so.6+0x3c050", 1},
+  };
+  EXPECT_EQ(stack_leaf(folded[0].first), "bcc::max_cluster");
+  EXPECT_EQ(stack_leaf(folded[2].first), "bcc::walk");
+  EXPECT_EQ(stack_leaf(folded[3].first), "bcc::query");
+  EXPECT_EQ(stack_leaf(folded[4].first), "");
+  EXPECT_EQ(stack_leaf("main"), "main");
+  EXPECT_TRUE(is_signal_frame("libc.so.6+0x3c050"));
+  EXPECT_TRUE(
+      is_signal_frame("bcc::obs::SamplingProfiler::signal_handler(int)"));
+  EXPECT_FALSE(is_signal_frame("malloc"));
+  EXPECT_FALSE(is_signal_frame("bcc+0x1234"));
+
+  const auto totals = inclusive_totals(folded);
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"main", 100},        {"bcc::gossip", 90}, {"bcc::max_cluster", 90},
+      {"bcc::self_crt", 60}, {"bcc::query", 10},  {"bcc::walk", 8},
+  };
+  // Recursion counts once per sample; no signal frame is ever totalled.
+  EXPECT_EQ(totals, expected);
 }
 
 }  // namespace

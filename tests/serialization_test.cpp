@@ -13,21 +13,13 @@ namespace {
 
 class SerializationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "bcc_serialization_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
+  std::string path(const std::string& name) const { return dir_.file(name); }
   void write_file(const std::string& name, const std::string& content) {
     std::ofstream os(path(name));
     os << content;
   }
 
-  std::filesystem::path dir_;
+  const testutil::TempDir dir_;
 };
 
 TEST_F(SerializationTest, RoundTripPreservesEverything) {

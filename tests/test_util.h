@@ -2,6 +2,12 @@
 // small fixtures used across module tests.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/rng.h"
@@ -90,5 +96,38 @@ inline std::vector<NodeId> iota_universe(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) u[i] = i;
   return u;
 }
+
+/// A fresh directory under temp_directory_path(), removed on destruction.
+/// Named from the running test (suite + name) and this process id: ctest
+/// runs each TEST as its own process, possibly in parallel, and a shared
+/// directory lets one test's cleanup delete another's files mid-write.
+class TempDir {
+ public:
+  TempDir() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string("bcc_") + info->test_suite_name() + "_" +
+                       info->name() + "_" + std::to_string(::getpid());
+    for (char& c : name) {
+      if (c == '/') c = '_';  // parameterized test names
+    }
+    path_ = std::filesystem::temp_directory_path() / name;
+    std::filesystem::create_directories(path_);
+  }
+  ~TempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+  /// Path of `name` inside the directory.
+  std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+
+ private:
+  std::filesystem::path path_;
+};
 
 }  // namespace bcc::testutil

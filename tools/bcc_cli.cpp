@@ -76,8 +76,8 @@
 //                  --out FILE]
 //                  run the same pipeline under the SIGPROF sampling
 //                  profiler and write folded stacks ("outer;inner N",
-//                  flamegraph.pl / speedscope input) plus a hottest-stacks
-//                  summary
+//                  flamegraph.pl / speedscope input) plus a summary of the
+//                  hottest stacks and inclusive per-function totals
 //   bcc health   [--data DIR/NAME --drop P --dup P --jitter S --crash F
 //                  --sample-period S --serve-queries N --serve-qps Q
 //                  --metrics-out FILE]
@@ -348,21 +348,20 @@ int cmd_query(int argc, const char* const* argv) {
   wpr.add_cluster(data.bandwidth, r.cluster, b);
   std::printf("\nreal-bandwidth check: %zu/%zu pairs below b (WPR %.3f)\n",
               wpr.wrong_pairs(), wpr.total_pairs(), wpr.rate());
-  const auto stats = service.stats();
+  const QueryServiceStats stats = service.stats();
   std::printf("served %d time(s): %zu cache hits, p50 %zu us, p99 %zu us\n",
               times, static_cast<std::size_t>(stats.cache_hits),
-              static_cast<std::size_t>(stats.latency_percentile_micros(50.0)),
-              static_cast<std::size_t>(stats.latency_percentile_micros(99.0)));
+              static_cast<std::size_t>(stats.latency_micros.quantile(50.0)),
+              static_cast<std::size_t>(stats.latency_micros.quantile(99.0)));
   if (r.profile) print_explain(*r.profile);
-  const AdmissionStatsSnapshot admission = service.admission_stats();
   if (serve_options.admission.enabled()) {
     std::printf("admission (%zu shards, %.0f qps/shard): %llu admitted, "
                 "%llu shed (%llu with stale answer), peak shard in-flight %zu\n",
                 serve_options.shards, serve_options.admission.rate_qps,
-                static_cast<unsigned long long>(admission.admitted),
-                static_cast<unsigned long long>(admission.shed_total()),
-                static_cast<unsigned long long>(admission.shed_with_answer),
-                admission.peak_shard_inflight);
+                static_cast<unsigned long long>(stats.admitted),
+                static_cast<unsigned long long>(stats.shed_total()),
+                static_cast<unsigned long long>(stats.shed_with_answer),
+                stats.peak_shard_inflight);
   }
   const MessageMetrics& mm = sys.metrics();
   std::printf("gossip traffic: %zu msgs / %zu bytes "
@@ -754,17 +753,28 @@ int cmd_profile(int argc, const char* const* argv) {
   profiler.publish_metrics();
 
   // Summary on stderr so `bcc profile > stacks.folded` pipes clean data.
-  const auto top = profiler.top_stacks(10);
+  // Leaves skip the signal frames every sample ends in.
+  const auto stacks = profiler.folded();
+  std::uint64_t total = 0;
+  for (const auto& entry : stacks) total += entry.second;
   std::fprintf(stderr,
                "%llu samples (%llu dropped) at %d Hz %s, hottest stacks:\n",
                static_cast<unsigned long long>(profiler.samples()),
                static_cast<unsigned long long>(profiler.dropped()),
                po.hz, mode.c_str());
-  for (const auto& [stack, n] : top) {
-    const auto leaf = stack.find_last_of(';');
-    std::fprintf(stderr, "  %8llu  %s\n", static_cast<unsigned long long>(n),
-                 leaf == std::string::npos ? stack.c_str()
-                                           : stack.c_str() + leaf + 1);
+  for (std::size_t i = 0; i < stacks.size() && i < 10; ++i) {
+    std::fprintf(stderr, "  %8llu  %s\n",
+                 static_cast<unsigned long long>(stacks[i].second),
+                 std::string(obs::stack_leaf(stacks[i].first)).c_str());
+  }
+  const auto functions = obs::inclusive_totals(stacks);
+  std::fprintf(stderr, "hottest functions (inclusive samples):\n");
+  for (std::size_t i = 0; i < functions.size() && i < 15; ++i) {
+    std::fprintf(stderr, "  %8llu  %5.1f%%  %s\n",
+                 static_cast<unsigned long long>(functions[i].second),
+                 100.0 * static_cast<double>(functions[i].second) /
+                     static_cast<double>(total),
+                 functions[i].first.c_str());
   }
   const std::string folded = profiler.folded_text();
   if (out.empty()) {
@@ -917,17 +927,17 @@ int cmd_health(int argc, const char* const* argv) {
     for (const QueryResult& reply : replies) {
       if (reply.degraded) ++degraded;
     }
-    const AdmissionStatsSnapshot admission = service.admission_stats();
+    const QueryServiceStats stats = service.stats();
     std::printf("serve plane: %zu-query burst x2 over %zu shards "
                 "(%.0f qps/shard): %llu admitted, %llu shed "
                 "(%llu with stale answer), %zu/%zu degraded replies, "
                 "peak shard in-flight %zu, snapshots in limbo %zu\n",
                 burst.size(), service.options().shards,
                 serve_options.admission.rate_qps,
-                static_cast<unsigned long long>(admission.admitted),
-                static_cast<unsigned long long>(admission.shed_total()),
-                static_cast<unsigned long long>(admission.shed_with_answer),
-                degraded, replies.size(), admission.peak_shard_inflight,
+                static_cast<unsigned long long>(stats.admitted),
+                static_cast<unsigned long long>(stats.shed_total()),
+                static_cast<unsigned long long>(stats.shed_with_answer),
+                degraded, replies.size(), stats.peak_shard_inflight,
                 service.snapshots_in_limbo());
   }
 
@@ -1135,12 +1145,9 @@ int cmd_collect(int argc, const char* const* argv) {
     std::printf("fleet profile: %zu distinct stacks, hottest:\n",
                 profile.size());
     for (std::size_t i = 0; i < profile.size() && i < 5; ++i) {
-      const auto leaf = profile[i].first.find_last_of(';');
       std::printf("  %8llu  %s\n",
                   static_cast<unsigned long long>(profile[i].second),
-                  leaf == std::string::npos
-                      ? profile[i].first.c_str()
-                      : profile[i].first.c_str() + leaf + 1);
+                  std::string(obs::stack_leaf(profile[i].first)).c_str());
     }
   }
   if (!out.empty()) {

@@ -6,8 +6,9 @@
 #     snapshot swaps, the EpochPtr storm test pins readers across publish()
 #     reclamation (the proof a reader never touches a freed snapshot), the
 #     overload suite races shedding against admission bookkeeping, the chaos
-#     suite swaps degraded snapshots mid-serve, the QueryStats seqlock test
-#     tears at snapshots under concurrent record()s, and the obs suite
+#     suite swaps degraded snapshots mid-serve, the QueryServiceStats test
+#     reads stats() while submits and batches race to account queries
+#     into the service's instruments, and the obs suite
 #     hammers the striped counters / histogram buckets / tracer ring from
 #     many threads — exactly the code TSan exists for; the ObsProfiler and
 #     QueryProfile tests run the SIGPROF sampler and the explain stage
@@ -37,7 +38,7 @@ run_tsan() {
   cmake -B build-tsan -S . -DBCC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "${jobs}" --target bcc_tests bcc_chaos_tests bcc_obs_tests bcc_transport_tests bcc_cli
   ctest --test-dir build-tsan \
-        -R 'QueryService|QueryStatusApi|QueryStats|QueryShard|QueryProfile|Epoch|Chaos|Obs|Transport|Net' \
+        -R 'QueryService|QueryStatusApi|QueryShard|QueryProfile|Epoch|Chaos|Obs|Transport|Net' \
         --output-on-failure -j "${jobs}"
 }
 
