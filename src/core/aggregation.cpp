@@ -72,14 +72,41 @@ std::vector<NodeId> compute_prop_node(const OverlayNodeMap& nodes,
   return cand;
 }
 
-std::vector<std::size_t> compute_self_crt(const OverlayNodeMap& nodes,
-                                          const DistanceMatrix& predicted,
-                                          const BandwidthClasses& classes,
-                                          NodeId x) {
-  std::vector<double> ls(classes.size());
-  for (std::size_t i = 0; i < ls.size(); ++i) ls[i] = classes.distance_at(i);
-  return max_cluster_sizes_for_classes(predicted,
-                                       nodes.at(x).clustering_space(), ls);
+SelfCrtMemo::SelfCrtMemo(const BandwidthClasses* classes) {
+  BCC_REQUIRE(classes != nullptr);
+  for (std::size_t i = 0; i < classes->size(); ++i) {
+    class_distances_.push_back(classes->distance_at(i));
+  }
+}
+
+const std::vector<std::size_t>& SelfCrtMemo::lookup(
+    NodeId x, std::vector<NodeId> space, const DistanceMatrix& predicted) {
+  auto [it, inserted] = entries_.try_emplace(x);
+  Entry& entry = it->second;
+  bool hit = !inserted && entry.space == space;
+  const std::vector<NodeId>& s = entry.space;
+  if (!hit) {
+    entry.space = std::move(space);
+    // assign, not resize: a grown space gets an exact-size buffer.
+    entry.distances.assign(s.size() * (s.size() - 1) / 2, 0.0);
+  }
+  // Compares the stored copy pair by pair, refreshing it in place: no
+  // allocation on the hit path, which is every steady-state round.
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    for (std::size_t j = i + 1; j < s.size(); ++j, ++k) {
+      const double d = predicted.at(s[i], s[j]);
+      if (entry.distances[k] != d) {
+        entry.distances[k] = d;
+        hit = false;
+      }
+    }
+  }
+  if (!hit) {
+    ++misses_;
+    entry.sizes = max_cluster_sizes_for_classes(predicted, s, class_distances_);
+  }
+  return entry.sizes;
 }
 
 std::vector<std::size_t> compute_prop_crt(const OverlayNodeMap& nodes,
@@ -214,62 +241,24 @@ CrtAggregation::CrtAggregation(OverlayNodeMap* nodes,
                                const BandwidthClasses* classes,
                                MessageMetrics* metrics)
     : nodes_(nodes), predicted_(predicted), classes_(classes),
-      metrics_(metrics) {
-  BCC_REQUIRE(nodes_ != nullptr && predicted_ != nullptr && classes_ != nullptr);
+      metrics_(metrics), memo_(classes) {
+  BCC_REQUIRE(nodes_ != nullptr && predicted_ != nullptr);
   BCC_REQUIRE(classes_->size() >= 1);
 }
 
 void CrtAggregation::reset_convergence() {
   converged_ = false;
   delta_mode_ = false;
-  self_cache_.clear();
 }
 
-void CrtAggregation::mark_dirty(std::span<const NodeId> repaired) {
+void CrtAggregation::mark_dirty() {
   converged_ = false;
   delta_mode_ = true;
-  // A cached self entry is only valid while every pair inside its clustering
-  // space kept its distance; any repaired member invalidates it.
-  std::unordered_set<NodeId> repaired_set(repaired.begin(), repaired.end());
-  for (auto it = self_cache_.begin(); it != self_cache_.end();) {
-    bool stale = repaired_set.count(it->first) > 0;
-    if (!stale) {
-      for (NodeId member : it->second.first) {
-        if (repaired_set.count(member)) {
-          stale = true;
-          break;
-        }
-      }
-    }
-    it = stale ? self_cache_.erase(it) : ++it;
-  }
 }
 
 void CrtAggregation::mark_changed(std::span<const NodeId> hosts) {
   converged_ = false;
   incoming_changed_.insert(hosts.begin(), hosts.end());
-  // A pruned direction shrinks the node's clustering space, which the
-  // space-equality check in refresh_self_entries already detects — no cache
-  // eviction needed here.
-}
-
-void CrtAggregation::refresh_self_entries(
-    std::unordered_set<NodeId>* self_changed) {
-  for (auto& [x, node] : *nodes_) {
-    auto space = node.clustering_space();
-    auto cached = self_cache_.find(x);
-    if (cached != self_cache_.end() && cached->second.first == space) {
-      node.aggr_crt[x] = cached->second.second;
-      continue;
-    }
-    auto sizes = compute_self_crt(*nodes_, *predicted_, *classes_, x);
-    auto it = node.aggr_crt.find(x);
-    if (it == node.aggr_crt.end() || it->second != sizes) {
-      if (self_changed) self_changed->insert(x);
-    }
-    node.aggr_crt[x] = sizes;
-    self_cache_[x] = {std::move(space), std::move(sizes)};
-  }
 }
 
 std::vector<std::size_t> CrtAggregation::propagate(NodeId m, NodeId x) const {
@@ -280,7 +269,14 @@ void CrtAggregation::execute_cycle(std::size_t /*cycle*/) {
   // Self entries reflect the *current* clustering spaces (Algorithm 3 line 8
   // runs before propagation each period).
   std::unordered_set<NodeId> self_changed;
-  refresh_self_entries(&self_changed);
+  for (auto& [x, node] : *nodes_) {
+    const auto& sizes = memo_.lookup(x, node.clustering_space(), *predicted_);
+    auto [it, inserted] = node.aggr_crt.try_emplace(x, sizes);
+    if (inserted || it->second != sizes) {
+      it->second = sizes;
+      self_changed.insert(x);
+    }
+  }
   bool changed = !self_changed.empty();
 
   // A propCRT from m only depends on m's own aggr_crt entries, so in delta

@@ -8,11 +8,16 @@
 //     reachable from x via m (Theorem 3.2).
 //
 //   * CrtAggregation — Algorithm 3 (DynAggrMaxCluster): every cycle each
-//     node m recomputes the maximum cluster size per distance class over its
+//     node m refreshes the maximum cluster size per distance class over its
 //     own clustering space V_m (the self CRT entry) and sends each neighbor
 //     x the elementwise maximum over {m} ∪ m's other directions. At the
 //     fixpoint x.aggrCRT[m][l] is the largest cluster any node reachable via
 //     m can locally build at class l (Theorem 3.3).
+//
+// The self entry is a pure function of V_m and the predicted distances
+// inside it, so both engines read it through a SelfCrtMemo keyed by exactly
+// that input: Algorithm 1 reruns only when one of them changed, and no
+// caller has to announce either.
 //
 // Both protocols double-buffer: all cycle-t messages are computed from
 // cycle-(t−1) state, matching PeerSim's synchronous cycle semantics. Each
@@ -58,12 +63,35 @@ std::vector<NodeId> compute_prop_node(const OverlayNodeMap& nodes,
                                       const DistanceMatrix& predicted,
                                       std::size_t n_cut, NodeId m, NodeId x);
 
-/// Algorithm 3's self entry for node x: max cluster size per distance class
-/// over x's clustering space.
-std::vector<std::size_t> compute_self_crt(const OverlayNodeMap& nodes,
-                                          const DistanceMatrix& predicted,
-                                          const BandwidthClasses& classes,
-                                          NodeId x);
+/// Algorithm 3's self entries, memoized per node and keyed by their exact
+/// input: the clustering space and every predicted distance inside it (the
+/// classes are fixed at construction). Each engine instance owns one.
+class SelfCrtMemo {
+ public:
+  explicit SelfCrtMemo(const BandwidthClasses* classes);
+
+  /// x's max cluster size per class over its clustering space `space`: the
+  /// stored sizes when the key equals x's stored one, else a fresh (and
+  /// stored) max_cluster_sizes_for_classes. Valid until x's next lookup.
+  const std::vector<std::size_t>& lookup(NodeId x, std::vector<NodeId> space,
+                                         const DistanceMatrix& predicted);
+
+  /// Drops x's stored entry (a crashed or departed node keeps no memory).
+  void forget(NodeId x) { entries_.erase(x); }
+
+  /// Lookups that reran Algorithm 1 since construction.
+  std::size_t misses() const { return misses_; }
+
+ private:
+  struct Entry {
+    std::vector<NodeId> space;
+    std::vector<double> distances;  // space's pairs (i < j), row by row
+    std::vector<std::size_t> sizes;
+  };
+  std::vector<double> class_distances_;
+  std::unordered_map<NodeId, Entry> entries_;
+  std::size_t misses_ = 0;
+};
 
 /// Algorithm 3's propCRT from m to x: elementwise max over {m's self entry}
 /// ∪ {m's directions except x}. m's self entry must be present.
@@ -135,16 +163,14 @@ class CrtAggregation : public Protocol {
   bool converged() const override { return converged_; }
   std::string name() const override { return "DynAggrMaxCluster"; }
 
-  /// Forgets the fixpoint flag and the self-entry cache so gossip resumes
-  /// against possibly-changed predicted distances (dynamic clustering).
+  /// Forgets the fixpoint flag so gossip resumes with every message
+  /// recomputed (dynamic clustering, full refresh).
   void reset_convergence();
 
-  /// Resumes gossip in delta mode after an incremental repair: self-entry
-  /// cache entries whose clustering space intersects `repaired` are
-  /// invalidated (their internal distances may have moved); messages are
+  /// Resumes gossip in delta mode after an incremental repair: messages are
   /// recomputed only when the sender's self entry or incoming tables
-  /// changed. Same contract as NodeInfoAggregation::mark_dirty.
-  void mark_dirty(std::span<const NodeId> repaired);
+  /// changed (the self-entry memo notices moved distances by itself).
+  void mark_dirty();
 
   /// See NodeInfoAggregation::mark_changed.
   void mark_changed(std::span<const NodeId> hosts);
@@ -157,10 +183,6 @@ class CrtAggregation : public Protocol {
   std::vector<std::size_t> propagate(NodeId m, NodeId x) const;
 
  private:
-  /// Refreshes every node's self CRT entry; fills `self_changed` with the
-  /// nodes whose entry differs from the previous cycle.
-  void refresh_self_entries(std::unordered_set<NodeId>* self_changed);
-
   OverlayNodeMap* nodes_;
   const DistanceMatrix* predicted_;
   const BandwidthClasses* classes_;
@@ -168,16 +190,11 @@ class CrtAggregation : public Protocol {
   bool converged_ = false;
   bool delta_mode_ = false;
   /// Nodes whose aggr_crt gained changed *incoming* entries at the last
-  /// commit (self changes are tracked per cycle in refresh_self_entries).
+  /// commit (self changes are tracked per cycle in execute_cycle).
   std::unordered_set<NodeId> incoming_changed_;
   std::size_t recomputed_ = 0;
   std::size_t reused_ = 0;
-  /// Memoizes each node's (clustering space -> per-class max sizes): the
-  /// O(|V_x|^3) Algorithm 1 pass only reruns when the space changed, which
-  /// stops happening once Algorithm 2 converges.
-  std::unordered_map<NodeId,
-                     std::pair<std::vector<NodeId>, std::vector<std::size_t>>>
-      self_cache_;
+  SelfCrtMemo memo_;
 };
 
 }  // namespace bcc

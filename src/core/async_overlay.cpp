@@ -15,9 +15,8 @@ AsyncOverlay::AsyncOverlay(const AnchorTree* overlay,
                            const BandwidthClasses* classes,
                            AsyncOverlayOptions options, std::uint64_t seed)
     : overlay_(overlay), predicted_(predicted), classes_(classes),
-      options_(options), rng_(seed) {
-  BCC_REQUIRE(overlay_ != nullptr && predicted_ != nullptr &&
-              classes_ != nullptr);
+      options_(options), rng_(seed), self_crt_memo_(classes) {
+  BCC_REQUIRE(overlay_ != nullptr && predicted_ != nullptr);
   // The matrix is the id universe, the tree the current membership: every
   // host must be addressable, but the tree may cover a subset (churn).
   BCC_REQUIRE(overlay_->size() >= 1);
@@ -62,6 +61,11 @@ double AsyncOverlay::ack_timeout_for(NodeId x, NodeId v) const {
   return std::max(options_.ack_timeout, 1.5 * (rtt + jitter));
 }
 
+bool AsyncOverlay::is_neighbor(NodeId x, NodeId v) const {
+  const std::vector<NodeId>& neighbors = nodes_.at(x).neighbors;
+  return std::find(neighbors.begin(), neighbors.end(), v) != neighbors.end();
+}
+
 void AsyncOverlay::arm_timer(NodeId x, double delay) {
   gossip_timer_[x] = engine_->schedule_after(delay, [this, x] { gossip(x); });
 }
@@ -81,9 +85,10 @@ void AsyncOverlay::gossip(NodeId x) {
   ++rounds_;
   // Refresh the node's own CRT entry from its current clustering space
   // (Algorithm 3 line 8).
-  nodes_.at(x).aggr_crt[x] =
-      compute_self_crt(nodes_, *predicted_, *classes_, x);
-  for (NodeId v : nodes_.at(x).neighbors) {
+  OverlayNode& node = nodes_.at(x);
+  node.aggr_crt[x] =
+      self_crt_memo_.lookup(x, node.clustering_space(), *predicted_);
+  for (NodeId v : node.neighbors) {
     start_exchange(x, v, /*attempt=*/0);
   }
   const double factor =
@@ -93,14 +98,12 @@ void AsyncOverlay::gossip(NodeId x) {
 
 void AsyncOverlay::start_exchange(NodeId x, NodeId v, std::size_t attempt) {
   if (down_.count(x) || !nodes_.count(x)) return;
-  // In local mode the neighbor lives in another process; its liveness is the
-  // transport's problem (ack timeouts still drive retries/suspicion here).
-  if (!local_mode() && !nodes_.count(v)) return;
   // A retry may fire after the sender crash-recovered (tables wiped): the
   // self CRT entry compute_prop_crt requires is then rebuilt lazily.
-  if (!nodes_.at(x).aggr_crt.count(x)) {
-    nodes_.at(x).aggr_crt[x] =
-        compute_self_crt(nodes_, *predicted_, *classes_, x);
+  OverlayNode& sender = nodes_.at(x);
+  if (!sender.aggr_crt.count(x)) {
+    sender.aggr_crt[x] =
+        self_crt_memo_.lookup(x, sender.clustering_space(), *predicted_);
   }
   // Snapshot the payloads now (sender state at send time), deliver later.
   // Retries recompute, so a resend carries the sender's newest state.
@@ -144,7 +147,9 @@ void AsyncOverlay::on_exchange(const net::Delivery& d) {
   const NodeId v = d.to;    // receiver (must be hosted here)
   auto it = nodes_.find(v);
   if (it == nodes_.end()) return;  // receiver left the overlay
-  if (down_.count(v)) {            // crashed outside the fault plan
+  // Crashed outside the fault plan, or the sender stopped being a neighbor
+  // while the exchange was in flight (churn; see file comment).
+  if (down_.count(v) || !is_neighbor(v, x)) {
     engine_->metrics().count_dropped();
     return;
   }
@@ -218,7 +223,9 @@ void AsyncOverlay::on_ack_timeout(NodeId x, NodeId v, std::uint64_t exchange,
                                   std::size_t attempt) {
   pending_ack_.erase(exchange);
   if (down_.count(x) || !nodes_.count(x)) return;
-  if (!local_mode() && !nodes_.count(v)) return;
+  // v left or stopped being a neighbor since the send (churn): it would drop
+  // a retry, so stop here.
+  if (!is_neighbor(x, v)) return;
   if (attempt < options_.max_retries) {
     // Covers recomputing the payload and re-sending with backed-off timeout.
     obs::Span span(obs::SpanCategory::kGossip, "retry_exchange");
@@ -245,6 +252,7 @@ void AsyncOverlay::crash(NodeId x) {
   // recovery.
   nodes_.at(x).aggr_node.clear();
   nodes_.at(x).aggr_crt.clear();
+  self_crt_memo_.forget(x);
   links_.erase(x);
   last_update_.erase(x);  // cold restart: staleness restarts from scratch
 }
@@ -304,6 +312,7 @@ void AsyncOverlay::resync_membership() {
       continue;
     }
     cancel_timer(it->first);
+    self_crt_memo_.forget(it->first);
     down_.erase(it->first);
     links_.erase(it->first);
     last_update_.erase(it->first);

@@ -2,8 +2,9 @@
 // Algorithms 2 and 3 without lockstep rounds. Each node gossips on its own
 // jittered timer and messages arrive after per-pair latency, as in a real
 // deployment. The information content is identical to the synchronous
-// protocols (both call the shared compute_prop_* functions), and the tests
-// verify the asynchronous run reaches exactly the synchronous fixpoint.
+// protocols (both call the shared compute_prop_* functions and the exact
+// SelfCrtMemo, so a matrix rewritten in place needs no notification), and
+// the tests verify the asynchronous run reaches exactly the sync fixpoint.
 //
 // Resilience (the §I "Dynamic Clustering" requirement taken seriously):
 // gossip runs over a FaultyChannel, so messages may be dropped, duplicated,
@@ -17,16 +18,18 @@
 // synchronous fixpoint (chaos tests sweep this).
 //
 // Crash/recover: a crashed node's gossip timer is cancelled (via the
-// EventEngine's cancellable timer handles), its tables are wiped (cold
-// restart), and in-flight messages to it are dropped; recovery re-arms the
-// timer and the node rebuilds its state from its neighbors' gossip.
+// EventEngine's cancellable timer handles), its tables and memo entry are
+// wiped (cold restart), and in-flight messages to it are dropped; recovery
+// re-arms the timer and the node rebuilds its state from neighbor gossip.
 //
 // Churn: when membership changes through FrameworkMaintainer (see
 // core/churn.h), resync_membership() re-reads the anchor tree — departed
 // nodes are removed and purged from all aggregate tables (an instantaneous
 // obituary broadcast, the one idealization), new and rejoined nodes get
 // fresh state and timers, and continued gossip re-converges on the
-// survivors.
+// survivors. Exchanges from a sender that is not (or no longer) the
+// receiver's neighbor are dropped, so traffic in flight across the resync
+// cannot re-create a direction the repaired tree removed.
 // Transport seam (ROADMAP open item 1): the overlay no longer talks to the
 // FaultyChannel directly — every exchange and ack is a serialized frame
 // handed to a net::Transport. By default start() builds a SimTransport over
@@ -84,7 +87,7 @@ struct AsyncOverlayOptions {
   /// for, applies deliveries to, and tracks state of just that node, and
   /// trusts the transport to reach the others (process-per-node deployment).
   /// Unset (default) hosts every tree member in-process.
-  std::optional<NodeId> local_node;
+  std::optional<NodeId> local_node = std::nullopt;
 };
 
 /// See file comment. The overlay/predicted/classes objects must outlive it.
@@ -169,6 +172,8 @@ class AsyncOverlay {
   void on_ack(NodeId x, NodeId v, std::uint64_t exchange);
   void on_ack_timeout(NodeId x, NodeId v, std::uint64_t exchange,
                       std::size_t attempt);
+  /// True when hosted node x currently lists v as a neighbor.
+  bool is_neighbor(NodeId x, NodeId v) const;
   void arm_timer(NodeId x, double delay);
   void cancel_timer(NodeId x);
   double latency(NodeId from, NodeId to) const;
@@ -197,6 +202,7 @@ class AsyncOverlay {
   std::uint64_t next_exchange_ = 0;
   /// exchange id -> ack-timeout timer (cancelled when the ack arrives).
   std::unordered_map<std::uint64_t, TimerId> pending_ack_;
+  SelfCrtMemo self_crt_memo_;  ///< self CRT entries of the hosted nodes
 };
 
 }  // namespace bcc

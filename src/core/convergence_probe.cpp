@@ -1,7 +1,5 @@
 #include "core/convergence_probe.h"
 
-#include <algorithm>
-
 #include "core/system.h"
 
 namespace bcc {
@@ -54,34 +52,11 @@ void ConvergenceProbe::refresh_reference_if_stale() {
   options.n_cut = n_cut_;
   DecentralizedClusterSystem sync(*tree_, *predicted_, *classes_, options);
   sync.run_to_convergence();
-  reference_ = sync.nodes();
-  ref_members_ = std::move(members);
-}
-
-bool ConvergenceProbe::node_matches_reference(NodeId x,
-                                              const OverlayNode& actual) const {
-  auto ref_it = reference_.find(x);
-  if (ref_it == reference_.end()) return false;
-  const OverlayNode& ref = ref_it->second;
-  auto sorted = [](std::vector<NodeId> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  for (NodeId m : ref.neighbors) {
-    auto a_node = actual.aggr_node.find(m);
-    if (a_node == actual.aggr_node.end() ||
-        sorted(a_node->second) != sorted(ref.aggr_node.at(m))) {
-      return false;
-    }
-    auto a_crt = actual.aggr_crt.find(m);
-    if (a_crt == actual.aggr_crt.end() ||
-        a_crt->second != ref.aggr_crt.at(m)) {
-      return false;
-    }
+  reference_.clear();
+  for (const auto& [id, node] : sync.nodes()) {
+    reference_.emplace(id, canonical_node_state(id, node));
   }
-  auto a_self = actual.aggr_crt.find(x);
-  return a_self != actual.aggr_crt.end() &&
-         a_self->second == ref.aggr_crt.at(x);
+  ref_members_ = std::move(members);
 }
 
 obs::ConvergenceSample ConvergenceProbe::sample() {
@@ -98,7 +73,8 @@ obs::ConvergenceSample ConvergenceProbe::sample() {
     auto it = overlay_->nodes().find(x);
     h.matches_reference = !overlay_->is_down(x) &&
                           it != overlay_->nodes().end() &&
-                          node_matches_reference(x, it->second);
+                          canonical_node_state(x, it->second) ==
+                              reference_.at(x);
     s.nodes.push_back(h);
   }
   return s;

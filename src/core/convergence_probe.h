@@ -3,13 +3,15 @@
 // against the exact synchronous fixpoint over the overlay's *current*
 // membership (the same ground truth the chaos suite asserts against).
 //
-// The reference fixpoint is computed lazily and cached: it is rebuilt only
-// when membership changes (the anchor tree's BFS order differs from the one
-// the cache was built for), so steady-state sampling costs one table
-// comparison per node, and a churn event costs one synchronous
-// run_to_convergence over the new membership.
+// A node matches when its canonical_node_state equals the reference's, so
+// a stray table entry counts as drift. The reference is computed lazily and
+// cached: it is rebuilt only when membership changes (the anchor tree's BFS
+// order differs from the one the cache was built for), so steady-state
+// sampling costs one string comparison per node, and a churn event costs
+// one synchronous run_to_convergence over the new membership.
 #pragma once
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -45,7 +47,6 @@ class ConvergenceProbe {
 
  private:
   void refresh_reference_if_stale();
-  bool node_matches_reference(NodeId x, const OverlayNode& actual) const;
 
   const AsyncOverlay* overlay_;
   const AnchorTree* tree_;
@@ -55,7 +56,8 @@ class ConvergenceProbe {
   const EventEngine* engine_;
 
   std::vector<NodeId> ref_members_;  ///< membership the cache was built for
-  std::unordered_map<NodeId, OverlayNode> reference_;  ///< exact fixpoint
+  /// canonical_node_state of every member at the exact fixpoint.
+  std::unordered_map<NodeId, std::string> reference_;
 };
 
 }  // namespace bcc

@@ -132,7 +132,7 @@ bool DecentralizedClusterSystem::apply_delta(DistanceMatrix new_predicted,
     crt_->mark_changed(touched);
   }
   node_info_->mark_dirty(repaired);
-  crt_->mark_dirty(repaired);
+  crt_->mark_dirty();
   g_refresh_delta().add(1);
   return true;
 }

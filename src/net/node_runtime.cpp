@@ -100,15 +100,8 @@ ProcessNode::ProcessNode(ProcessNodeOptions options)
 
 bool ProcessNode::bind() { return tcp_.listen(); }
 
-std::string format_node_state(NodeId id, const OverlayNode& node) {
-  // The canonical form lives beside OverlayNode so in-process systems can
-  // dump the identical wire format (canonical_dump); this wrapper keeps the
-  // historical name the supervisor and control protocol use.
-  return canonical_node_state(id, node);
-}
-
 void ProcessNode::dump_state(std::ostream& out) const {
-  out << format_node_state(options_.id, overlay_.nodes().at(options_.id));
+  out << canonical_node_state(options_.id, overlay_.nodes().at(options_.id));
 }
 
 bool ProcessNode::handle_control_line(const std::string& line,

@@ -52,12 +52,6 @@ struct NodeWorld {
 /// reach. Requires n >= 2.
 NodeWorld make_node_world(std::size_t n, std::uint64_t seed);
 
-/// Canonical textual form of one node's tables (state-begin/crt/node/
-/// state-end, keys and id vectors sorted). Both the `dump` control reply
-/// and the supervisor's ground-truth rendering use this, so convergence
-/// checks are exact string equality.
-std::string format_node_state(NodeId id, const OverlayNode& node);
-
 struct ProcessNodeOptions {
   NodeId id = 0;
   std::size_t n_nodes = 5;

@@ -318,7 +318,7 @@ const std::string& ProcessSupervisor::ground_truth(NodeId id) {
     BCC_REQUIRE(sync.converged());
     truth_.resize(options_.n);
     for (NodeId x : w.fw.anchors.bfs_order()) {
-      truth_[x] = format_node_state(x, sync.node(x));
+      truth_[x] = canonical_node_state(x, sync.node(x));
     }
   }
   return truth_[id];

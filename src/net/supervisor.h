@@ -7,7 +7,7 @@
 // Convergence is asserted the same way the in-sim chaos suite does it:
 // the supervisor rebuilds the identical world from (n, world_seed), runs
 // the synchronous DecentralizedClusterSystem to its fixpoint, renders each
-// node's ground-truth tables with format_node_state(), and compares the
+// node's ground-truth tables with canonical_node_state(), and compares the
 // live `dump` replies by string equality — exact fixpoint, not "close".
 //
 // Port allocation: the base port is derived from the supervisor pid; when

@@ -1,5 +1,7 @@
 #include "obs/bench_report.h"
 
+#include <sched.h>
+
 #include <cstdlib>
 
 #include "common/assert.h"
@@ -39,7 +41,12 @@ std::string BenchReport::path() const {
   return prefix + "BENCH_" + name_ + ".json";
 }
 
-bool BenchReport::write() const {
+bool BenchReport::write() {
+  // The CPUs this process may use (what `nproc` prints).
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  sched_getaffinity(0, sizeof(cpus), &cpus);
+  set("bcc.bench.host.nproc", CPU_COUNT(&cpus));
   std::string out = "{\"bench\":\"" + name_ + "\",\n\"metrics\":";
   out += json_object(registry_.snapshot());
   out += "}\n";

@@ -39,8 +39,9 @@ class BenchReport {
   std::string path() const;
 
   /// Writes {"bench":"<name>","metrics":<json_object(registry snapshot)>}.
-  /// Returns false on I/O failure.
-  bool write() const;
+  /// First sets gauge `bcc.bench.host.nproc`, the CPU count the run was
+  /// allowed to use. Returns false on I/O failure.
+  bool write();
 
  private:
   std::string name_;

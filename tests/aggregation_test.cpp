@@ -186,6 +186,80 @@ TEST(CrtAggregation, GlobalMaxAppearsSomewhereWithLargeNcut) {
   }
 }
 
+TEST(SelfCrtMemo, LookupsEqualDirectComputationThroughInPlaceWrites) {
+  // Property on random tree metrics: every lookup equals a fresh
+  // max_cluster_sizes_for_classes, whatever was written since, and the memo
+  // reruns Algorithm 1 exactly when its key moved — a slot's space changed,
+  // a distance inside it changed, or the slot was forgotten. Writes outside
+  // a space, writes of an unchanged value and repeated calls reuse it.
+  const double c = kDefaultTransformC;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed + 40);
+    const std::size_t n = 8 + static_cast<std::size_t>(rng.below(14));
+    DistanceMatrix d = testutil::random_tree_metric(n, rng);
+    const double dmax = d.max_distance();
+    const BandwidthClasses classes(
+        {c / dmax, c / (dmax * 0.5), c / (dmax * 0.25), c / (dmax * 0.1)}, c);
+    std::vector<double> ls;
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+      ls.push_back(classes.distance_at(i));
+    }
+    auto random_space = [&](NodeId x) {
+      std::vector<NodeId> space = rng.sample_indices(n, rng.below(n) + 1);
+      space.push_back(x);
+      std::sort(space.begin(), space.end());
+      space.erase(std::unique(space.begin(), space.end()), space.end());
+      return space;
+    };
+    auto contains = [](const std::vector<NodeId>& space, NodeId u) {
+      return std::binary_search(space.begin(), space.end(), u);
+    };
+
+    SelfCrtMemo memo(&classes);
+    const std::size_t slots = 3;
+    std::vector<std::vector<NodeId>> spaces(slots);
+    std::vector<bool> stale(slots, true);  // never looked up yet
+    for (NodeId x = 0; x < slots; ++x) spaces[x] = random_space(x);
+    for (int step = 0; step < 60; ++step) {
+      const NodeId x = static_cast<NodeId>(rng.below(slots));
+      const NodeId u = static_cast<NodeId>(rng.below(n));
+      const NodeId v = (u + 1 + static_cast<NodeId>(rng.below(n - 1))) % n;
+      switch (rng.below(5)) {
+        case 0:  // repeated call
+          break;
+        case 1:  // in-place write, inside or outside the slots' spaces
+          d.set(u, v, d.at(u, v) * rng.uniform(0.5, 1.5));
+          for (NodeId y = 0; y < slots; ++y) {
+            if (contains(spaces[y], u) && contains(spaces[y], v)) {
+              stale[y] = true;
+            }
+          }
+          break;
+        case 2:  // a write that leaves the value as it was
+          d.set(u, v, d.at(u, v));
+          break;
+        case 3: {  // a new space (a redraw may repeat the old one)
+          std::vector<NodeId> next = random_space(x);
+          if (next != spaces[x]) stale[x] = true;
+          spaces[x] = std::move(next);
+          break;
+        }
+        default:
+          memo.forget(x);
+          stale[x] = true;
+          break;
+      }
+      const std::size_t misses = memo.misses();
+      EXPECT_EQ(memo.lookup(x, spaces[x], d),
+                max_cluster_sizes_for_classes(d, spaces[x], ls))
+          << "seed=" << seed << " step=" << step;
+      EXPECT_EQ(memo.misses() - misses, stale[x] ? 1u : 0u)
+          << "seed=" << seed << " step=" << step;
+      stale[x] = false;
+    }
+  }
+}
+
 TEST(Aggregation, MessageMetricsAccumulate) {
   Rng rng(20);
   const DistanceMatrix real = testutil::random_tree_metric(12, rng);

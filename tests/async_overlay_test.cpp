@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "core/system.h"
 #include "test_util.h"
 #include "tree/embedder.h"
@@ -53,26 +51,10 @@ TEST(AsyncOverlay, ReachesTheSynchronousFixpoint) {
     EventEngine engine;
     async.run_for(engine, 4.0 * (s.fw.anchors.diameter() + 2));
 
-    for (const auto& [x, sync_node] : [&] {
-           OverlayNodeMap copy;
-           for (NodeId h : s.fw.anchors.bfs_order()) {
-             copy.emplace(h, sync.node(h));
-           }
-           return copy;
-         }()) {
-      const OverlayNode& async_node = async.nodes().at(x);
-      for (NodeId m : sync_node.neighbors) {
-        auto sorted = [](std::vector<NodeId> v) {
-          std::sort(v.begin(), v.end());
-          return v;
-        };
-        EXPECT_EQ(sorted(async_node.aggr_node.at(m)),
-                  sorted(sync_node.aggr_node.at(m)))
-            << "x=" << x << " m=" << m << " seed=" << seed;
-        EXPECT_EQ(async_node.aggr_crt.at(m), sync_node.aggr_crt.at(m))
-            << "x=" << x << " m=" << m << " seed=" << seed;
-      }
-      EXPECT_EQ(async_node.aggr_crt.at(x), sync_node.aggr_crt.at(x));
+    for (NodeId x : s.fw.anchors.bfs_order()) {
+      EXPECT_EQ(canonical_node_state(x, async.nodes().at(x)),
+                canonical_node_state(x, sync.node(x)))
+          << "seed=" << seed;
     }
   }
 }
@@ -137,8 +119,9 @@ TEST(AsyncOverlay, QueriesWorkOnAsyncState) {
                                 s.classes.distance_at(0)));
 }
 
-// Direct table comparison against the synchronous fixpoint (both runs call
-// the shared compute_prop_* kernels, so equality is exact).
+// Every node's canonical_node_state must be string-equal to the synchronous
+// fixpoint over s.predicted (both runs call the shared kernels, so equality
+// is exact), and no other node may be hosted.
 void expect_sync_fixpoint(const AsyncOverlay& async, const AsyncSetup& s,
                           std::size_t n_cut, const char* context) {
   SystemOptions sync_options;
@@ -147,21 +130,11 @@ void expect_sync_fixpoint(const AsyncOverlay& async, const AsyncSetup& s,
                                   sync_options);
   sync.run_to_convergence();
   ASSERT_TRUE(sync.converged());
-  auto sorted = [](std::vector<NodeId> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
+  EXPECT_EQ(async.nodes().size(), s.fw.anchors.size()) << context;
   for (NodeId x : s.fw.anchors.bfs_order()) {
-    const OverlayNode& sync_node = sync.node(x);
-    const OverlayNode& async_node = async.nodes().at(x);
-    for (NodeId m : sync_node.neighbors) {
-      EXPECT_EQ(sorted(async_node.aggr_node.at(m)),
-                sorted(sync_node.aggr_node.at(m)))
-          << context << " x=" << x << " m=" << m;
-      EXPECT_EQ(async_node.aggr_crt.at(m), sync_node.aggr_crt.at(m))
-          << context << " x=" << x << " m=" << m;
-    }
-    EXPECT_EQ(async_node.aggr_crt.at(x), sync_node.aggr_crt.at(x)) << context;
+    EXPECT_EQ(canonical_node_state(x, async.nodes().at(x)),
+              canonical_node_state(x, sync.node(x)))
+        << context;
   }
 }
 
@@ -177,6 +150,38 @@ TEST(AsyncOverlay, ConvergesUnderTenPercentLoss) {
   async.run_for(engine, 8.0 * (s.fw.anchors.diameter() + 2));
   expect_sync_fixpoint(async, s, 5, "10% loss");
   EXPECT_GT(engine.metrics().dropped(), 0u);
+}
+
+TEST(AsyncOverlay, SelfEntriesFollowAMatrixRewrittenInPlace) {
+  // The overlay reads s.predicted through a pointer; rewriting it between
+  // rounds, with no call into the overlay, must still land every node on
+  // the sync fixpoint over the new matrix. Uniform scaling keeps every
+  // distance order, so the clustering spaces stay put while the per-class
+  // cluster sizes move: only the distances in the memo key can notice.
+  AsyncSetup s = make_setup(16, 29);
+  AsyncOverlayOptions options;
+  options.n_cut = 5;
+  AsyncOverlay async(&s.fw.anchors, &s.predicted, &s.classes, options, 30);
+  EventEngine engine;
+  const double horizon = 4.0 * (s.fw.anchors.diameter() + 2);
+  async.run_for(engine, horizon);
+  expect_sync_fixpoint(async, s, options.n_cut, "before rewrite");
+  const std::string before = canonical_node_state(
+      s.fw.anchors.bfs_order()[0],
+      async.nodes().at(s.fw.anchors.bfs_order()[0]));
+  for (double scale : {0.45, 1.7}) {
+    for (NodeId u = 0; u < s.predicted.size(); ++u) {
+      for (NodeId v = u + 1; v < s.predicted.size(); ++v) {
+        s.predicted.set(u, v, s.predicted.at(u, v) * scale);
+      }
+    }
+    async.run_for(engine, horizon);
+    expect_sync_fixpoint(async, s, options.n_cut, "after rewrite");
+  }
+  // The rewrites did move the tables (0.45 * 1.7 != 1).
+  EXPECT_NE(canonical_node_state(s.fw.anchors.bfs_order()[0],
+                                 async.nodes().at(s.fw.anchors.bfs_order()[0])),
+            before);
 }
 
 TEST(AsyncOverlay, TotalLinkLossTriggersRetriesThenSuspicionThenHeals) {

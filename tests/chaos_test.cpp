@@ -61,9 +61,11 @@ BandwidthClasses classes_for(const DistanceMatrix& predicted) {
   return BandwidthClasses({c / dmax, c / (dmax * 0.5), c / (dmax * 0.2)}, c);
 }
 
-/// Asserts the async tables match the synchronous fixpoint computed over the
-/// same (tree, predicted, classes) triple — exact equality, since both paths
-/// call the shared compute_prop_* kernels.
+/// Asserts the async overlay hosts exactly the tree's members and that each
+/// member's canonical_node_state is string-equal to the synchronous fixpoint
+/// over the same (tree, predicted, classes) triple — exact equality, since
+/// both paths call the shared kernels, and strict: a stray table entry for a
+/// direction the tree does not have fails it.
 void expect_ground_truth(const AsyncOverlay& async, const AnchorTree& tree,
                          const DistanceMatrix& predicted,
                          const BandwidthClasses& classes, std::size_t n_cut,
@@ -73,23 +75,12 @@ void expect_ground_truth(const AsyncOverlay& async, const AnchorTree& tree,
   DecentralizedClusterSystem sync(tree, predicted, classes, sync_options);
   sync.run_to_convergence();
   ASSERT_TRUE(sync.converged()) << context;
-  auto sorted = [](std::vector<NodeId> v) {
-    std::sort(v.begin(), v.end());
-    return v;
-  };
+  EXPECT_EQ(async.nodes().size(), tree.size()) << context;
   for (NodeId x : tree.bfs_order()) {
-    const OverlayNode& sync_node = sync.node(x);
     ASSERT_TRUE(async.nodes().count(x)) << context << " missing x=" << x;
-    const OverlayNode& async_node = async.nodes().at(x);
-    for (NodeId m : sync_node.neighbors) {
-      EXPECT_EQ(sorted(async_node.aggr_node.at(m)),
-                sorted(sync_node.aggr_node.at(m)))
-          << context << " x=" << x << " m=" << m;
-      EXPECT_EQ(async_node.aggr_crt.at(m), sync_node.aggr_crt.at(m))
-          << context << " x=" << x << " m=" << m;
-    }
-    EXPECT_EQ(async_node.aggr_crt.at(x), sync_node.aggr_crt.at(x))
-        << context << " x=" << x;
+    EXPECT_EQ(canonical_node_state(x, async.nodes().at(x)),
+              canonical_node_state(x, sync.node(x)))
+        << context;
   }
 }
 
@@ -188,6 +179,49 @@ TEST(Chaos, ChurnReconvergesOnSurvivors) {
     context << "churn seed=" << seed;
     expect_ground_truth(async, maintainer.anchors(), real, classes,
                         options.n_cut, context.str());
+  }
+}
+
+TEST(Chaos, ExchangesInFlightAcrossChurnLeaveNoStrayDirections) {
+  // Leaves land while exchanges are still in flight; the slower the links,
+  // the more of them arrive after the membership resync. A delivery from a
+  // departed node or an ex-neighbor must not re-create a table entry, or the
+  // stray direction stays in the receiver's clustering space for good.
+  const std::size_t hosts = 16;
+  for (double latency : {0.05, 0.3}) {
+    for (std::uint64_t seed = 1; seed <= 8 * chaos_seeds(); ++seed) {
+      Rng rng(seed + 700);
+      const DistanceMatrix real = testutil::random_tree_metric(hosts, rng);
+      const BandwidthClasses classes = classes_for(real);
+      FrameworkMaintainer maintainer(&real);
+      for (NodeId h = 0; h < hosts; ++h) maintainer.join(h);
+
+      AsyncOverlayOptions options;
+      options.n_cut = 4;
+      options.message_latency = latency;
+      AsyncOverlay async(&maintainer.anchors(), &real, &classes, options,
+                         seed + 80);
+      EventEngine engine;
+      async.start(engine);
+      ChurnDriver churn(&maintainer, &async);
+      std::vector<NodeId> leavers(hosts);
+      for (NodeId h = 0; h < hosts; ++h) leavers[h] = h;
+      rng.shuffle(leavers);
+      std::vector<ChurnEvent> events;
+      for (std::size_t i = 0; i < 4; ++i) {
+        events.push_back(ChurnEvent::leave(2.1 + 1.3 * i, leavers[i]));
+      }
+      churn.schedule(engine, events);
+      engine.run_until(8.0);
+      EXPECT_EQ(churn.applied(), 4u);
+      async.run_for(engine, 80.0);  // quiet period
+
+      std::ostringstream context;
+      context << "latency=" << latency << " seed=" << seed;
+      expect_ground_truth(async, maintainer.anchors(), real, classes,
+                          options.n_cut, context.str());
+      EXPECT_TRUE(async.healthy()) << context.str();
+    }
   }
 }
 

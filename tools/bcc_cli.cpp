@@ -372,18 +372,74 @@ int cmd_query(int argc, const char* const* argv) {
   return 0;
 }
 
+/// The fault flags `bcc chaos` and `bcc health` share.
+struct FaultFlags {
+  double& drop;
+  double& dup;
+  double& jitter;
+  double& crash;
+  std::int64_t& n_cut;
+};
+
+FaultFlags add_fault_flags(Options& opts, double default_drop) {
+  return {opts.add_double("drop", default_drop, "per-message drop probability"),
+          opts.add_double("dup", 0.05, "per-message duplication probability"),
+          opts.add_double("jitter", 0.02,
+                          "max extra delivery delay (s, reorders)"),
+          opts.add_double("crash", 0.1,
+                          "fraction of nodes that crash and recover"),
+          opts.add_int("n_cut", 10, "aggregate size limit")};
+}
+
+/// The set-up `bcc chaos` and `bcc health` share: the framework over the
+/// dataset, uniform drop/dup/jitter on every link plus staggered
+/// crash/recover outages that all heal before the quiet tail, a horizon long
+/// enough to reconverge, and the async overlay under that fault plan.
+/// Members point at each other, so a FaultRun is built in place.
+struct FaultRun {
+  FaultRun(const SynthDataset& data, const FaultFlags& f, std::uint64_t seed);
+
+  Rng rng;
+  const Framework fw;
+  const DistanceMatrix predicted;
+  const BandwidthClasses classes = BandwidthClasses::uniform_grid(5, 300, 5);
+  const std::size_t n;
+  FaultPlan plan;
+  const std::size_t crashers;
+  const double horizon;
+  AsyncOverlay async;
+  EventEngine engine;
+};
+
+FaultRun::FaultRun(const SynthDataset& data, const FaultFlags& f,
+                   std::uint64_t seed)
+    : rng(seed),
+      fw(build_framework(data.distances, rng)),
+      predicted(fw.predicted_distances()),
+      n(fw.prediction.host_count()),
+      plan(seed + 1),
+      crashers(std::min(
+          n - 1, static_cast<std::size_t>(f.crash * static_cast<double>(n)))),
+      horizon(10.0 + 2.0 * static_cast<double>(crashers) +
+              (8.0 + 24.0 * f.drop) *
+                  (static_cast<double>(fw.anchors.diameter()) + 2.0)),
+      async(&fw.anchors, &predicted, &classes,
+            {.n_cut = static_cast<std::size_t>(f.n_cut), .faults = &plan},
+            seed + 2) {
+  plan.set_default_faults(
+      {.drop_prob = f.drop, .duplicate_prob = f.dup, .jitter_max = f.jitter});
+  const auto order = fw.anchors.bfs_order();
+  for (std::size_t i = 0; i < crashers; ++i) {
+    plan.add_crash(order[1 + i], 4.0 + 2.0 * static_cast<double>(i),
+                   10.0 + 2.0 * static_cast<double>(i));
+  }
+}
+
 int cmd_chaos(int argc, const char* const* argv) {
   Options opts("bcc chaos",
                "async gossip under injected faults vs. the sync fixpoint");
   auto& data_arg = opts.add_string("data", "", "DIR/NAME of the dataset");
-  auto& drop = opts.add_double("drop", 0.2, "per-message drop probability");
-  auto& dup = opts.add_double("dup", 0.05,
-                              "per-message duplication probability");
-  auto& jitter = opts.add_double("jitter", 0.02,
-                                 "max extra delivery delay (s, reorders)");
-  auto& crash = opts.add_double("crash", 0.1,
-                                "fraction of nodes that crash and recover");
-  auto& n_cut = opts.add_int("n_cut", 10, "aggregate size limit");
+  const FaultFlags f = add_fault_flags(opts, 0.2);
   auto& metrics_out = opts.add_string("metrics-out", "",
                                       "write the metrics registry here (JSON)");
   auto& seed = opts.add_int("seed", 42, "framework + fault seed");
@@ -393,75 +449,43 @@ int cmd_chaos(int argc, const char* const* argv) {
     std::fprintf(stderr, "bcc chaos: --data DIR/NAME is required\n");
     return 1;
   }
-  if (drop < 0.0 || drop >= 1.0 || crash < 0.0 || crash > 1.0) {
+  if (f.drop < 0.0 || f.drop >= 1.0 || f.crash < 0.0 || f.crash > 1.0) {
     std::fprintf(stderr, "bcc chaos: need 0 <= --drop < 1, 0 <= --crash <= 1\n");
     return 1;
   }
-  const SynthDataset data = load_dataset(name, dir);
-  Rng rng(static_cast<std::uint64_t>(seed));
-  const Framework fw = build_framework(data.distances, rng);
-  const DistanceMatrix predicted = fw.predicted_distances();
-  const BandwidthClasses classes = BandwidthClasses::uniform_grid(5, 300, 5);
-  const std::size_t n = fw.prediction.host_count();
-
-  FaultPlan plan(static_cast<std::uint64_t>(seed) + 1);
-  plan.set_default_faults(
-      {.drop_prob = drop, .duplicate_prob = dup, .jitter_max = jitter});
-  const auto order = fw.anchors.bfs_order();
-  const std::size_t crashers =
-      std::min(n - 1, static_cast<std::size_t>(crash * static_cast<double>(n)));
-  for (std::size_t i = 0; i < crashers; ++i) {
-    // Staggered mid-run outages; everyone recovers before the quiet tail.
-    plan.add_crash(order[1 + i], 4.0 + 2.0 * static_cast<double>(i),
-                   10.0 + 2.0 * static_cast<double>(i));
-  }
-
-  AsyncOverlayOptions async_options;
-  async_options.n_cut = static_cast<std::size_t>(n_cut);
-  async_options.faults = &plan;
-  AsyncOverlay async(&fw.anchors, &predicted, &classes, async_options,
-                     static_cast<std::uint64_t>(seed) + 2);
-  EventEngine engine;
-  const double diameter = static_cast<double>(fw.anchors.diameter());
-  const double horizon =
-      10.0 + 2.0 * static_cast<double>(crashers) + (8.0 + 24.0 * drop) * (diameter + 2.0);
-  async.run_for(engine, horizon);
+  FaultRun run(load_dataset(name, dir), f, static_cast<std::uint64_t>(seed));
+  run.async.run_for(run.engine, run.horizon);
 
   SystemOptions sync_options;
-  sync_options.n_cut = static_cast<std::size_t>(n_cut);
-  DecentralizedClusterSystem sync(fw.anchors, predicted, classes,
+  sync_options.n_cut = static_cast<std::size_t>(f.n_cut);
+  DecentralizedClusterSystem sync(run.fw.anchors, run.predicted, run.classes,
                                   sync_options);
   sync.run_to_convergence();
   std::size_t mismatched = 0;
-  for (NodeId x : order) {
-    const OverlayNode& a = async.nodes().at(x);
-    const OverlayNode& s = sync.node(x);
-    auto sorted = [](std::vector<NodeId> v) {
-      std::sort(v.begin(), v.end());
-      return v;
-    };
-    for (NodeId m : s.neighbors) {
-      if (sorted(a.aggr_node.at(m)) != sorted(s.aggr_node.at(m)) ||
-          a.aggr_crt.at(m) != s.aggr_crt.at(m)) {
-        ++mismatched;
-      }
+  for (NodeId x : run.fw.anchors.bfs_order()) {
+    auto it = run.async.nodes().find(x);
+    if (it == run.async.nodes().end() ||
+        canonical_node_state(x, it->second) !=
+            canonical_node_state(x, sync.node(x))) {
+      ++mismatched;
     }
   }
 
-  const MessageMetrics& mm = engine.metrics();
+  const MessageMetrics& mm = run.engine.metrics();
   std::printf("chaos run: %zu hosts, drop %.0f%%, dup %.0f%%, jitter %.3fs, "
               "%zu crash/recover, %.1fs simulated\n",
-              n, drop * 100.0, dup * 100.0, jitter, crashers, horizon);
+              run.n, f.drop * 100.0, f.dup * 100.0, f.jitter, run.crashers,
+              run.horizon);
   std::printf("traffic: %zu msgs / %zu bytes | dropped %zu, duplicated %zu, "
               "retried %zu, suspected %zu\n",
               mm.total_messages(), mm.total_bytes(), mm.dropped(),
               mm.duplicated(), mm.retried(), mm.suspected());
   std::printf("gossip rounds %zu, last state change at t=%.2fs, healthy: %s\n",
-              async.gossip_rounds(), async.last_change(),
-              async.healthy() ? "yes" : "no");
+              run.async.gossip_rounds(), run.async.last_change(),
+              run.async.healthy() ? "yes" : "no");
   if (!maybe_write_metrics(metrics_out)) return 1;
   if (mismatched != 0) {
-    std::printf("FIXPOINT MISMATCH: %zu neighbor tables differ from the "
+    std::printf("FIXPOINT MISMATCH: %zu node tables differ from the "
                 "synchronous ground truth\n",
                 mismatched);
     return 2;
@@ -795,14 +819,7 @@ int cmd_health(int argc, const char* const* argv) {
                "convergence health of the gossip stack under faults");
   auto& data_arg = opts.add_string("data", "",
                                    "DIR/NAME of the dataset (optional)");
-  auto& drop = opts.add_double("drop", 0.3, "per-message drop probability");
-  auto& dup = opts.add_double("dup", 0.05,
-                              "per-message duplication probability");
-  auto& jitter = opts.add_double("jitter", 0.02,
-                                 "max extra delivery delay (s, reorders)");
-  auto& crash = opts.add_double("crash", 0.1,
-                                "fraction of nodes that crash and recover");
-  auto& n_cut = opts.add_int("n_cut", 10, "aggregate size limit");
+  const FaultFlags f = add_fault_flags(opts, 0.3);
   auto& period = opts.add_double("sample-period", 0.5,
                                  "seconds of sim time between health samples");
   auto& serve_queries = opts.add_int(
@@ -814,56 +831,31 @@ int cmd_health(int argc, const char* const* argv) {
                                       "write the metrics registry here (JSON)");
   auto& seed = opts.add_int("seed", 42, "framework + fault seed");
   opts.parse(argc, argv);
-  if (drop < 0.0 || drop >= 1.0 || crash < 0.0 || crash > 1.0 ||
+  if (f.drop < 0.0 || f.drop >= 1.0 || f.crash < 0.0 || f.crash > 1.0 ||
       period <= 0.0) {
     std::fprintf(stderr, "bcc health: need 0 <= --drop < 1, "
                          "0 <= --crash <= 1, --sample-period > 0\n");
     return 1;
   }
 
-  const SynthDataset data = dataset_or_synthetic(
-      data_arg, static_cast<std::uint64_t>(seed), "bcc health");
-  Rng rng(static_cast<std::uint64_t>(seed));
-  const Framework fw = build_framework(data.distances, rng);
-  const DistanceMatrix predicted = fw.predicted_distances();
-  const BandwidthClasses classes = BandwidthClasses::uniform_grid(5, 300, 5);
-  const std::size_t n = fw.prediction.host_count();
-
-  // Same fault shape as `bcc chaos`: uniform loss plus staggered
-  // crash/recover outages that all heal before the quiet tail.
-  FaultPlan plan(static_cast<std::uint64_t>(seed) + 1);
-  plan.set_default_faults(
-      {.drop_prob = drop, .duplicate_prob = dup, .jitter_max = jitter});
-  const auto order = fw.anchors.bfs_order();
-  const std::size_t crashers =
-      std::min(n - 1, static_cast<std::size_t>(crash * static_cast<double>(n)));
-  for (std::size_t i = 0; i < crashers; ++i) {
-    plan.add_crash(order[1 + i], 4.0 + 2.0 * static_cast<double>(i),
-                   10.0 + 2.0 * static_cast<double>(i));
-  }
-
-  AsyncOverlayOptions async_options;
-  async_options.n_cut = static_cast<std::size_t>(n_cut);
-  async_options.faults = &plan;
-  AsyncOverlay async(&fw.anchors, &predicted, &classes, async_options,
-                     static_cast<std::uint64_t>(seed) + 2);
-  EventEngine engine;
-  const double diameter = static_cast<double>(fw.anchors.diameter());
-  const double horizon = 10.0 + 2.0 * static_cast<double>(crashers) +
-                         (8.0 + 24.0 * drop) * (diameter + 2.0);
-
-  ConvergenceProbe probe(&async, &fw.anchors, &predicted, &classes,
-                         static_cast<std::size_t>(n_cut), &engine);
+  FaultRun run(dataset_or_synthetic(data_arg, static_cast<std::uint64_t>(seed),
+                                   "bcc health"),
+               f, static_cast<std::uint64_t>(seed));
+  ConvergenceProbe probe(&run.async, &run.fw.anchors, &run.predicted,
+                         &run.classes, static_cast<std::size_t>(f.n_cut),
+                         &run.engine);
   obs::ConvergenceMonitor monitor(&obs::Registry::global(), probe.sampler());
-  async.start(engine);
-  ConvergenceProbe::schedule_sampling(engine, monitor, period, horizon);
-  engine.run_until(horizon);
+  run.async.start(run.engine);
+  ConvergenceProbe::schedule_sampling(run.engine, monitor, period,
+                                      run.horizon);
+  run.engine.run_until(run.horizon);
   monitor.sample();  // final verdict at the horizon
 
   const obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
   std::printf("health run: %zu hosts, drop %.0f%%, dup %.0f%%, "
               "%zu crash/recover, %.1fs simulated, sampled every %.2fs\n",
-              n, drop * 100.0, dup * 100.0, crashers, horizon, period);
+              run.n, f.drop * 100.0, f.dup * 100.0, run.crashers, run.horizon,
+              period);
   std::printf("converged: %s", monitor.converged() ? "yes" : "NO");
   if (monitor.converged_at() >= 0.0) {
     std::printf(" (first full fixpoint match at t=%.2fs)", monitor.converged_at());
@@ -901,23 +893,24 @@ int cmd_health(int argc, const char* const* argv) {
   // report. The burst deliberately exceeds the token budget so shedding
   // behavior (and stale-answer coverage) is visible.
   if (serve_queries > 0) {
-    DecentralizedClusterSystem seed_sys(fw.anchors, predicted, classes,
-                                        {.n_cut = async_options.n_cut});
+    DecentralizedClusterSystem seed_sys(
+        run.fw.anchors, run.predicted, run.classes,
+        {.n_cut = static_cast<std::size_t>(f.n_cut)});
     QueryServiceOptions serve_options;
     serve_options.threads = 2;
     serve_options.admission.rate_qps = std::max(1.0, serve_qps);
     serve_options.admission.burst = 8.0;
     serve_options.admission.queue_limit = 4;
     QueryService service(seed_sys, serve_options);
-    service.refresh(*snapshot_of(async, predicted, classes));
+    service.refresh(*snapshot_of(run.async, run.predicted, run.classes));
 
     Rng probe_rng(static_cast<std::uint64_t>(seed) + 3);
     std::vector<QueryRequest> burst;
     burst.reserve(static_cast<std::size_t>(serve_queries));
     for (int i = 0; i < static_cast<int>(serve_queries); ++i) {
       QueryRequest request = QueryRequest::at_class(
-          static_cast<NodeId>(probe_rng.below(n)), 2 + probe_rng.below(8),
-          probe_rng.below(classes.size()));
+          static_cast<NodeId>(probe_rng.below(run.n)), 2 + probe_rng.below(8),
+          probe_rng.below(run.classes.size()));
       if (i % 8 == 0) request = request.with_priority(QueryPriority::kHigh);
       burst.push_back(request);
     }
