@@ -1,17 +1,20 @@
 #include "core/aggregation.h"
 
 #include <algorithm>
+#include <chrono>
+#include <tuple>
 
 #include "core/find_cluster.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace bcc {
 
 namespace {
 
-// Delta-path evidence counters: how many per-direction messages each cycle
+// Change-driven evidence counters: how many per-direction messages each cycle
 // recomputed versus proved unchanged and reused (see file comment in the
-// header). Registered once; instance-level totals are on the protocols.
+// header). Instance-level totals are on SyncGossip.
 obs::Counter& g_prop_node_recomputed() {
   static obs::Counter& c =
       obs::Registry::global().counter("bcc.core.prop_node_recomputed");
@@ -127,53 +130,97 @@ std::vector<std::size_t> compute_prop_crt(const OverlayNodeMap& nodes,
   return prop;
 }
 
-// ---------------------------------------------------------------- Algorithm 2
-
-NodeInfoAggregation::NodeInfoAggregation(OverlayNodeMap* nodes,
-                                         const DistanceMatrix* predicted,
-                                         std::size_t n_cut,
-                                         MessageMetrics* metrics)
-    : nodes_(nodes), predicted_(predicted), n_cut_(n_cut), metrics_(metrics) {
-  BCC_REQUIRE(nodes_ != nullptr && predicted_ != nullptr);
+SyncGossip::SyncGossip(AnchorTree overlay, DistanceMatrix predicted,
+                       BandwidthClasses classes, std::size_t n_cut,
+                       std::size_t max_cycles)
+    : overlay_(std::move(overlay)), predicted_(std::move(predicted)),
+      classes_(std::move(classes)), n_cut_(n_cut), max_cycles_(max_cycles),
+      nodes_(make_overlay_nodes(overlay_)), memo_(&classes_) {
   BCC_REQUIRE(n_cut_ >= 1);
+  BCC_REQUIRE(classes_.size() >= 1);
+  // The matrix is the id universe; the tree may cover a subset of its ids
+  // (e.g. the survivors of a churned membership, keyed by global host id).
+  for (const auto& [h, node] : nodes_) BCC_REQUIRE(h < predicted_.size());
+  // Registered up front so the exported names do not depend on the run.
+  g_prop_node_recomputed();
+  g_prop_node_reused();
+  g_prop_crt_recomputed();
+  g_prop_crt_reused();
 }
 
-std::vector<NodeId> NodeInfoAggregation::propagate(NodeId m, NodeId x) const {
-  return compute_prop_node(*nodes_, *predicted_, n_cut_, m, x);
+std::size_t SyncGossip::run() {
+  // Cached instrument handles: one registry lookup per process, not per run.
+  static obs::Counter& cycles_counter =
+      obs::Registry::global().counter("bcc.sim.cycles");
+  static obs::Histogram& cycle_micros =
+      obs::Registry::global().histogram("bcc.sim.cycle_micros");
+  static obs::Gauge& converged_fraction =
+      obs::Registry::global().gauge("bcc.sim.converged_fraction");
+  // The fraction of the two algorithms at their fixpoint.
+  auto publish_fraction = [this] {
+    converged_fraction.set(
+        (static_cast<double>(node_converged_) + crt_converged_) / 2.0);
+  };
+
+  // Information crosses the overlay in diameter hops; one extra cycle
+  // rebuilds CRTs from final spaces, one more detects the fixpoint. The two
+  // algorithms converge one after the other in the worst case.
+  const std::size_t budget =
+      max_cycles_ > 0 ? max_cycles_ : 2 * overlay_.diameter() + 4;
+  std::size_t executed = 0;
+  while (executed < budget) {
+    publish_fraction();
+    if (converged()) break;
+    {
+      obs::Span span(obs::SpanCategory::kSim, "cycle");
+      const auto t0 = std::chrono::steady_clock::now();
+      node_converged_ = !exchange_node_info();
+      crt_converged_ = !exchange_crt();
+      cycle_micros.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+    }
+    cycles_counter.add(1);
+    ++cycles_;
+    ++executed;
+  }
+  publish_fraction();
+  return executed;
 }
 
-void NodeInfoAggregation::reset_convergence() {
-  converged_ = false;
-  delta_mode_ = false;
-  delta_first_cycle_ = false;
-  dirty_.clear();
-}
-
-void NodeInfoAggregation::mark_dirty(std::span<const NodeId> repaired) {
-  converged_ = false;
-  delta_mode_ = true;
-  delta_first_cycle_ = true;
+void SyncGossip::apply_delta(DistanceMatrix new_predicted,
+                             std::span<const NodeId> repaired,
+                             const AnchorTree* new_overlay) {
+  BCC_REQUIRE(new_predicted.size() == predicted_.size());
+  predicted_ = std::move(new_predicted);
+  if (new_overlay != nullptr) {
+    BCC_REQUIRE(new_overlay->size() == nodes_.size());
+    overlay_ = *new_overlay;
+    for (NodeId x : overlay_.bfs_order()) {
+      auto it = nodes_.find(x);
+      BCC_REQUIRE(it != nodes_.end());  // same membership, different edges
+      if (it->second.resync_neighbors(overlay_.neighbors_of(x))) {
+        node_changed_.insert(x);
+        crt_changed_.insert(x);
+      }
+    }
+  }
   dirty_.insert(repaired.begin(), repaired.end());
-  // changed_ is kept: if the previous run stopped mid-iteration, those
-  // pending table changes still force recomputation of dependent messages.
+  node_converged_ = crt_converged_ = false;
 }
 
-void NodeInfoAggregation::mark_changed(std::span<const NodeId> hosts) {
-  converged_ = false;
-  changed_.insert(hosts.begin(), hosts.end());
-}
-
-bool NodeInfoAggregation::message_dirty(NodeId m, NodeId x) const {
+bool SyncGossip::node_message_dirty(NodeId m, NodeId x) const {
   // The sender's committed tables changed at the last commit: anything it
   // sends may differ.
-  if (changed_.count(m)) return true;
-  if (!delta_first_cycle_) return false;
-  // First cycle after mark_dirty: predicted distances moved on pairs
+  if (node_changed_.count(m)) return true;
+  if (dirty_.empty()) return false;
+  // First cycle after apply_delta: predicted distances moved on pairs
   // touching the repaired set. The message sorts candidates by distance to
   // x, so it can only change if x itself, the sender, or one of the
   // sender's current candidates was repaired.
   if (dirty_.count(x) || dirty_.count(m)) return true;
-  const OverlayNode& sender = nodes_->at(m);
+  const OverlayNode& sender = nodes_.at(m);
   for (NodeId v : sender.neighbors) {
     if (v == x) continue;
     auto it = sender.aggr_node.find(v);
@@ -185,139 +232,79 @@ bool NodeInfoAggregation::message_dirty(NodeId m, NodeId x) const {
   return false;
 }
 
-void NodeInfoAggregation::execute_cycle(std::size_t /*cycle*/) {
-  // Compute all messages from committed state, then commit (synchronous).
-  // In delta mode, messages whose inputs provably did not change are not
-  // recomputed — their stored value at the receiver already equals what a
-  // recomputation would produce, so skipping them leaves the iteration (and
-  // therefore the fixpoint) bit-identical while only the repaired subtree
-  // pays.
-  std::vector<std::pair<NodeId, std::unordered_map<NodeId, std::vector<NodeId>>>>
-      staged;
-  staged.reserve(nodes_->size());
-  for (auto& [x, node] : *nodes_) {
-    std::unordered_map<NodeId, std::vector<NodeId>> incoming;
+bool SyncGossip::exchange_node_info() {
+  // Stage every message from committed state, then commit (lockstep).
+  std::vector<std::tuple<NodeId, NodeId, std::vector<NodeId>>> staged;
+  for (const auto& [x, node] : nodes_) {
     for (NodeId m : node.neighbors) {
-      if (delta_mode_ && node.aggr_node.count(m) && !message_dirty(m, x)) {
+      auto stored = node.aggr_node.find(m);
+      if (stored != node.aggr_node.end() && !node_message_dirty(m, x)) {
         ++reused_;
         g_prop_node_reused().add(1);
+        metrics_.record("aggr_node", stored->second.size() * sizeof(NodeId));
         continue;
       }
-      auto prop = propagate(m, x);
+      auto prop = compute_prop_node(nodes_, predicted_, n_cut_, m, x);
       ++recomputed_;
       g_prop_node_recomputed().add(1);
-      if (metrics_) {
-        metrics_->record("aggr_node", prop.size() * sizeof(NodeId));
-      }
-      incoming.emplace(m, std::move(prop));
-    }
-    staged.emplace_back(x, std::move(incoming));
-  }
-  bool changed = false;
-  changed_.clear();
-  for (auto& [x, incoming] : staged) {
-    OverlayNode& node = nodes_->at(x);
-    for (auto& [m, prop] : incoming) {
-      auto it = node.aggr_node.find(m);
-      if (it == node.aggr_node.end()) {
-        node.aggr_node.emplace(m, std::move(prop));
-        changed = true;
-        changed_.insert(x);
-      } else if (it->second != prop) {
-        it->second = std::move(prop);
-        changed = true;
-        changed_.insert(x);
-      }
+      metrics_.record("aggr_node", prop.size() * sizeof(NodeId));
+      staged.emplace_back(x, m, std::move(prop));
     }
   }
-  delta_first_cycle_ = false;
-  converged_ = !changed;
+  dirty_.clear();  // consumed: later cycles see the repaired distances
+  node_changed_.clear();
+  for (auto& [x, m, prop] : staged) {
+    auto [it, inserted] = nodes_.at(x).aggr_node.try_emplace(m);
+    if (!inserted && it->second == prop) continue;
+    it->second = std::move(prop);
+    node_changed_.insert(x);
+  }
+  return !node_changed_.empty();
 }
 
-// ---------------------------------------------------------------- Algorithm 3
-
-CrtAggregation::CrtAggregation(OverlayNodeMap* nodes,
-                               const DistanceMatrix* predicted,
-                               const BandwidthClasses* classes,
-                               MessageMetrics* metrics)
-    : nodes_(nodes), predicted_(predicted), classes_(classes),
-      metrics_(metrics), memo_(classes) {
-  BCC_REQUIRE(nodes_ != nullptr && predicted_ != nullptr);
-  BCC_REQUIRE(classes_->size() >= 1);
-}
-
-void CrtAggregation::reset_convergence() {
-  converged_ = false;
-  delta_mode_ = false;
-}
-
-void CrtAggregation::mark_dirty() {
-  converged_ = false;
-  delta_mode_ = true;
-}
-
-void CrtAggregation::mark_changed(std::span<const NodeId> hosts) {
-  converged_ = false;
-  incoming_changed_.insert(hosts.begin(), hosts.end());
-}
-
-std::vector<std::size_t> CrtAggregation::propagate(NodeId m, NodeId x) const {
-  return compute_prop_crt(*nodes_, classes_->size(), m, x);
-}
-
-void CrtAggregation::execute_cycle(std::size_t /*cycle*/) {
+bool SyncGossip::exchange_crt() {
   // Self entries reflect the *current* clustering spaces (Algorithm 3 line 8
   // runs before propagation each period).
   std::unordered_set<NodeId> self_changed;
-  for (auto& [x, node] : *nodes_) {
-    const auto& sizes = memo_.lookup(x, node.clustering_space(), *predicted_);
+  for (auto& [x, node] : nodes_) {
+    const auto& sizes = memo_.lookup(x, node.clustering_space(), predicted_);
     auto [it, inserted] = node.aggr_crt.try_emplace(x, sizes);
     if (inserted || it->second != sizes) {
       it->second = sizes;
       self_changed.insert(x);
     }
   }
-  bool changed = !self_changed.empty();
 
-  // A propCRT from m only depends on m's own aggr_crt entries, so in delta
-  // mode it is recomputed only when m's self entry changed this cycle or
-  // m's incoming entries changed at the last commit.
-  std::vector<
-      std::pair<NodeId, std::unordered_map<NodeId, std::vector<std::size_t>>>>
-      staged;
-  staged.reserve(nodes_->size());
-  for (auto& [x, node] : *nodes_) {
-    std::unordered_map<NodeId, std::vector<std::size_t>> incoming;
+  // A propCRT from m reads only m's own aggr_crt entries, so it can differ
+  // from the stored one only when m's self entry changed this cycle or m's
+  // incoming entries changed at the last commit.
+  std::vector<std::tuple<NodeId, NodeId, std::vector<std::size_t>>> staged;
+  for (const auto& [x, node] : nodes_) {
     for (NodeId m : node.neighbors) {
-      if (delta_mode_ && node.aggr_crt.count(m) && !self_changed.count(m) &&
-          !incoming_changed_.count(m)) {
+      auto stored = node.aggr_crt.find(m);
+      if (stored != node.aggr_crt.end() && !self_changed.count(m) &&
+          !crt_changed_.count(m)) {
         ++reused_;
         g_prop_crt_reused().add(1);
+        metrics_.record("aggr_crt",
+                        stored->second.size() * sizeof(std::size_t));
         continue;
       }
-      auto prop = propagate(m, x);
+      auto prop = compute_prop_crt(nodes_, classes_.size(), m, x);
       ++recomputed_;
       g_prop_crt_recomputed().add(1);
-      if (metrics_) {
-        metrics_->record("aggr_crt", prop.size() * sizeof(std::size_t));
-      }
-      incoming.emplace(m, std::move(prop));
-    }
-    staged.emplace_back(x, std::move(incoming));
-  }
-  incoming_changed_.clear();
-  for (auto& [x, incoming] : staged) {
-    OverlayNode& node = nodes_->at(x);
-    for (auto& [m, crt] : incoming) {
-      auto it = node.aggr_crt.find(m);
-      if (it == node.aggr_crt.end() || it->second != crt) {
-        node.aggr_crt[m] = std::move(crt);
-        changed = true;
-        incoming_changed_.insert(x);
-      }
+      metrics_.record("aggr_crt", prop.size() * sizeof(std::size_t));
+      staged.emplace_back(x, m, std::move(prop));
     }
   }
-  converged_ = !changed;
+  crt_changed_.clear();
+  for (auto& [x, m, prop] : staged) {
+    auto [it, inserted] = nodes_.at(x).aggr_crt.try_emplace(m);
+    if (!inserted && it->second == prop) continue;
+    it->second = std::move(prop);
+    crt_changed_.insert(x);
+  }
+  return !self_changed.empty() || !crt_changed_.empty();
 }
 
 }  // namespace bcc

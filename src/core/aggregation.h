@@ -1,41 +1,44 @@
 // The two background gossip mechanisms of the decentralized clustering
-// system (paper §III.B.2–3), implemented as synchronous sim Protocols:
+// system (paper §III.B.2–3), one periodic exchange per overlay link:
 //
-//   * NodeInfoAggregation — Algorithm 2 (DynAggrNodeInfo): every cycle each
-//     node m sends to each neighbor x the n_cut nodes closest to x among
-//     {m} ∪ m's aggregates from its other neighbors. At the fixpoint
-//     x.aggrNode[m] is exactly the n_cut nodes closest to x among all nodes
-//     reachable from x via m (Theorem 3.2).
+//   * Algorithm 2 (DynAggrNodeInfo): every period each node m sends to each
+//     neighbor x the n_cut nodes closest to x among {m} ∪ m's aggregates
+//     from its other neighbors. At the fixpoint x.aggrNode[m] is exactly the
+//     n_cut nodes closest to x among all nodes reachable from x via m
+//     (Theorem 3.2).
 //
-//   * CrtAggregation — Algorithm 3 (DynAggrMaxCluster): every cycle each
-//     node m refreshes the maximum cluster size per distance class over its
-//     own clustering space V_m (the self CRT entry) and sends each neighbor
-//     x the elementwise maximum over {m} ∪ m's other directions. At the
-//     fixpoint x.aggrCRT[m][l] is the largest cluster any node reachable via
-//     m can locally build at class l (Theorem 3.3).
+//   * Algorithm 3 (DynAggrMaxCluster): every period each node m refreshes
+//     the maximum cluster size per distance class over its own clustering
+//     space V_m (the self CRT entry) and sends each neighbor x the
+//     elementwise maximum over {m} ∪ m's other directions. At the fixpoint
+//     x.aggrCRT[m][l] is the largest cluster any node reachable via m can
+//     locally build at class l (Theorem 3.3).
 //
-// The self entry is a pure function of V_m and the predicted distances
-// inside it, so both engines read it through a SelfCrtMemo keyed by exactly
-// that input: Algorithm 1 reruns only when one of them changed, and no
-// caller has to announce either.
+// The message kernels (compute_prop_*) and the self-entry memo are shared by
+// two schedulers: SyncGossip below, and the event-driven AsyncOverlay
+// (core/async_overlay.h). The self entry is a pure function of V_m and the
+// predicted distances inside it, so both read it through a SelfCrtMemo keyed
+// by exactly that input: Algorithm 1 reruns only when one of them changed,
+// and no caller has to announce either.
 //
-// Both protocols double-buffer: all cycle-t messages are computed from
-// cycle-(t−1) state, matching PeerSim's synchronous cycle semantics. Each
-// converges once a full cycle changes nothing; information needs at most
-// (overlay diameter) cycles to cross the tree.
+// SyncGossip runs PeerSim-style lockstep cycles: all cycle-t messages are
+// computed from cycle-(t−1) state, Algorithm 2 first, then the self entries,
+// then Algorithm 3. A run stops once a whole cycle changes nothing;
+// information needs at most (overlay diameter) cycles to cross the tree.
 //
-// Incremental repair (mark_dirty): when only a few predicted distances
-// change — FrameworkMaintainer::refresh_dirty repaired a small host set R —
-// re-running from the old fixpoint instead of from scratch converges to the
-// *same* fixpoint (per-direction message dependencies follow simple tree
-// paths away from the receiver, so the dependency graph is acyclic and the
-// fixpoint is unique for a given tree + distances). The delta path exploits
-// this by memoizing messages: a message m→x is only recomputed when its
-// inputs could have changed — its sender's tables changed last cycle, or
-// (on the first cycle after mark_dirty) the pair's distances could have
-// moved because x, m, or one of m's candidates is in R. Everything else is
-// provably identical to a recomputation and is reused, so a disturbance
-// touching k of n hosts re-gossips only the affected subtree.
+// It is change-driven. A message depends only on its sender's tables, which
+// depend only on messages from farther away from the receiver, so the
+// dependency graph is acyclic and the fixpoint is unique for a given tree
+// and set of distances: re-gossiping from any pruned state reaches the one a
+// from-scratch run reaches. A message m→x is therefore recomputed only when
+// it could differ from the one x stores: x stores none yet (a fresh system,
+// a new edge), m's tables changed at the last commit, or — on the first
+// cycle after apply_delta — a distance it reads moved because x, m or one of
+// m's candidates was repaired. Every other message is provably identical
+// and reused, so a disturbance touching k of n hosts re-gossips only the
+// affected subtree. MessageMetrics still counts every direction on every
+// cycle (a reused message at its stored size): the traffic is what a
+// lockstep cycle sends, whatever the simulator saved.
 #pragma once
 
 #include <span>
@@ -44,7 +47,7 @@
 
 #include "core/bandwidth_classes.h"
 #include "core/overlay_node.h"
-#include "sim/engine.h"
+#include "sim/metrics.h"
 #include "tree/anchor_tree.h"
 
 namespace bcc {
@@ -99,102 +102,75 @@ std::vector<std::size_t> compute_prop_crt(const OverlayNodeMap& nodes,
                                           std::size_t class_count, NodeId m,
                                           NodeId x);
 
-/// Algorithm 2 as a synchronous protocol. See file comment.
-class NodeInfoAggregation : public Protocol {
+/// Algorithms 2–3 as lockstep gossip cycles over one node per overlay host.
+/// Owns its inputs (overlay, predicted metric, classes), so it copies and
+/// moves like a value. See file comment.
+class SyncGossip {
  public:
-  NodeInfoAggregation(OverlayNodeMap* nodes, const DistanceMatrix* predicted,
-                      std::size_t n_cut, MessageMetrics* metrics);
+  /// One node per host of `overlay`, with empty tables; every host must be
+  /// an id of `predicted`. Each run executes at most `max_cycles` cycles;
+  /// 0 = automatic (2 × overlay diameter + 4, enough for both fixpoints).
+  SyncGossip(AnchorTree overlay, DistanceMatrix predicted,
+             BandwidthClasses classes, std::size_t n_cut,
+             std::size_t max_cycles = 0);
 
-  void execute_cycle(std::size_t cycle) override;
-  bool converged() const override { return converged_; }
-  std::string name() const override { return "DynAggrNodeInfo"; }
+  /// Runs cycles until one changes nothing or the budget is spent. Returns
+  /// the cycles executed.
+  std::size_t run();
 
-  /// Forgets the fixpoint flag so gossip resumes with every message
-  /// recomputed (dynamic clustering, full refresh).
-  void reset_convergence();
+  /// True when the last cycle changed nothing and nothing moved since.
+  bool converged() const { return node_converged_ && crt_converged_; }
 
-  /// Resumes gossip in delta mode after an incremental repair: only
-  /// messages whose inputs could have changed are recomputed (see file
-  /// comment). Contract: every predicted-distance pair that changed since
-  /// the last fixpoint has at least one end in `repaired`. Repeated calls
-  /// before the next run accumulate.
-  void mark_dirty(std::span<const NodeId> repaired);
+  /// Installs a new predicted metric. Contract: every pair whose distance
+  /// changed has at least one end in `repaired`; the next cycle recomputes
+  /// the Algorithm 2 messages that read such a pair (the self-entry memo
+  /// notices moved distances by itself). Calls with no cycle in between
+  /// accumulate. `new_overlay`, when given, replaces the overlay (same
+  /// membership, possibly different edges): a node whose neighbor set
+  /// changed drops the removed directions and resends every message.
+  void apply_delta(DistanceMatrix new_predicted,
+                   std::span<const NodeId> repaired,
+                   const AnchorTree* new_overlay = nullptr);
 
-  /// Records that `hosts` had their tables changed outside the protocol —
-  /// an overlay resync pruned directions after a tree repair — so their
-  /// outgoing messages are recomputed on the next cycle even in delta mode.
-  void mark_changed(std::span<const NodeId> hosts);
+  const AnchorTree& overlay() const { return overlay_; }
+  const DistanceMatrix& predicted() const { return predicted_; }
+  const BandwidthClasses& classes() const { return classes_; }
+  const OverlayNodeMap& nodes() const { return nodes_; }
+  const MessageMetrics& metrics() const { return metrics_; }
+  std::size_t cycles_executed() const { return cycles_; }
 
-  /// Messages recomputed / reused since construction (the delta path's
-  /// work-saving evidence; full cycles only ever recompute).
+  /// Messages recomputed / reused since construction.
   std::size_t messages_recomputed() const { return recomputed_; }
   std::size_t messages_reused() const { return reused_; }
 
-  /// The message m propagates to its neighbor x this cycle (from committed
-  /// state). Exposed for unit tests.
-  std::vector<NodeId> propagate(NodeId m, NodeId x) const;
-
  private:
-  /// True when the stored value of message m→x may differ from a fresh
-  /// recomputation (delta mode only).
-  bool message_dirty(NodeId m, NodeId x) const;
+  /// Algorithm 2: stages every message from committed state, then commits.
+  /// Returns whether any table changed.
+  bool exchange_node_info();
+  /// True when message m→x may differ from the one x stores.
+  bool node_message_dirty(NodeId m, NodeId x) const;
+  /// Algorithm 3: refreshes the self entries, stages, commits. Returns
+  /// whether any entry changed.
+  bool exchange_crt();
 
-  OverlayNodeMap* nodes_;
-  const DistanceMatrix* predicted_;
+  AnchorTree overlay_;
+  DistanceMatrix predicted_;
+  BandwidthClasses classes_;
   std::size_t n_cut_;
-  MessageMetrics* metrics_;
-  bool converged_ = false;
-  bool delta_mode_ = false;
-  bool delta_first_cycle_ = false;
-  std::unordered_set<NodeId> dirty_;    // repaired hosts (predicted changed)
-  std::unordered_set<NodeId> changed_;  // nodes whose tables changed at the
-                                        // last commit
-  std::size_t recomputed_ = 0;
-  std::size_t reused_ = 0;
-};
-
-/// Algorithm 3 as a synchronous protocol. See file comment.
-class CrtAggregation : public Protocol {
- public:
-  CrtAggregation(OverlayNodeMap* nodes, const DistanceMatrix* predicted,
-                 const BandwidthClasses* classes, MessageMetrics* metrics);
-
-  void execute_cycle(std::size_t cycle) override;
-  bool converged() const override { return converged_; }
-  std::string name() const override { return "DynAggrMaxCluster"; }
-
-  /// Forgets the fixpoint flag so gossip resumes with every message
-  /// recomputed (dynamic clustering, full refresh).
-  void reset_convergence();
-
-  /// Resumes gossip in delta mode after an incremental repair: messages are
-  /// recomputed only when the sender's self entry or incoming tables
-  /// changed (the self-entry memo notices moved distances by itself).
-  void mark_dirty();
-
-  /// See NodeInfoAggregation::mark_changed.
-  void mark_changed(std::span<const NodeId> hosts);
-
-  std::size_t messages_recomputed() const { return recomputed_; }
-  std::size_t messages_reused() const { return reused_; }
-
-  /// The CRT vector m propagates to neighbor x this cycle (self entry must
-  /// be current). Exposed for unit tests.
-  std::vector<std::size_t> propagate(NodeId m, NodeId x) const;
-
- private:
-  OverlayNodeMap* nodes_;
-  const DistanceMatrix* predicted_;
-  const BandwidthClasses* classes_;
-  MessageMetrics* metrics_;
-  bool converged_ = false;
-  bool delta_mode_ = false;
-  /// Nodes whose aggr_crt gained changed *incoming* entries at the last
-  /// commit (self changes are tracked per cycle in execute_cycle).
-  std::unordered_set<NodeId> incoming_changed_;
-  std::size_t recomputed_ = 0;
-  std::size_t reused_ = 0;
+  std::size_t max_cycles_;
+  OverlayNodeMap nodes_;
+  MessageMetrics metrics_;
   SelfCrtMemo memo_;
+  bool node_converged_ = false;
+  bool crt_converged_ = false;
+  std::unordered_set<NodeId> dirty_;         // repaired, not yet consumed
+  std::unordered_set<NodeId> node_changed_;  // aggr_node changed at the
+                                             // last commit
+  std::unordered_set<NodeId> crt_changed_;   // incoming aggr_crt changed at
+                                             // the last commit
+  std::size_t cycles_ = 0;
+  std::size_t recomputed_ = 0;
+  std::size_t reused_ = 0;
 };
 
 }  // namespace bcc

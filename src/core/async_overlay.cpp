@@ -324,14 +324,9 @@ void AsyncOverlay::resync_membership() {
   // aggregate contents (the obituary idealization, see file comment) —
   // without the purge, departed ids would recirculate in gossip forever.
   for (auto& [id, node] : nodes_) {
-    node.neighbors = overlay_->neighbors_of(id);
+    node.resync_neighbors(overlay_->neighbors_of(id));
     std::unordered_set<NodeId> neighbor_set(node.neighbors.begin(),
                                             node.neighbors.end());
-    std::erase_if(node.aggr_node,
-                  [&](const auto& e) { return !neighbor_set.count(e.first); });
-    std::erase_if(node.aggr_crt, [&](const auto& e) {
-      return e.first != id && !neighbor_set.count(e.first);
-    });
     for (auto& [m, aggregate] : node.aggr_node) {
       std::erase_if(aggregate,
                     [&](NodeId d) { return !member_set.count(d); });

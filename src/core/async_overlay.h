@@ -1,8 +1,8 @@
 // Asynchronous (event-driven) execution of the background mechanisms —
 // Algorithms 2 and 3 without lockstep rounds. Each node gossips on its own
 // jittered timer and messages arrive after per-pair latency, as in a real
-// deployment. The information content is identical to the synchronous
-// protocols (both call the shared compute_prop_* functions and the exact
+// deployment. The information content is identical to the lockstep
+// SyncGossip (both call the shared compute_prop_* functions and the exact
 // SelfCrtMemo, so a matrix rewritten in place needs no notification), and
 // the tests verify the asynchronous run reaches exactly the sync fixpoint.
 //

@@ -16,6 +16,22 @@ std::vector<NodeId> OverlayNode::clustering_space() const {
   return space;
 }
 
+bool OverlayNode::resync_neighbors(std::vector<NodeId> next) {
+  std::vector<NodeId> prev = neighbors;
+  neighbors = std::move(next);
+  std::vector<NodeId> sorted = neighbors;
+  std::sort(prev.begin(), prev.end());
+  std::sort(sorted.begin(), sorted.end());
+  auto dropped = [&](NodeId v) {
+    return !std::binary_search(sorted.begin(), sorted.end(), v);
+  };
+  std::erase_if(aggr_node, [&](const auto& e) { return dropped(e.first); });
+  std::erase_if(aggr_crt, [&](const auto& e) {
+    return e.first != id && dropped(e.first);  // the self entry stays
+  });
+  return prev != sorted;
+}
+
 std::string canonical_node_state(NodeId id, const OverlayNode& node) {
   std::ostringstream out;
   out << "state-begin " << id << "\n";
@@ -37,6 +53,16 @@ std::string canonical_node_state(NodeId id, const OverlayNode& node) {
   }
   out << "state-end\n";
   return out.str();
+}
+
+std::string canonical_dump(const OverlayNodeMap& nodes) {
+  std::vector<NodeId> ids;
+  ids.reserve(nodes.size());
+  for (const auto& [id, node] : nodes) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  std::string dump;
+  for (NodeId id : ids) dump += canonical_node_state(id, nodes.at(id));
+  return dump;
 }
 
 }  // namespace bcc

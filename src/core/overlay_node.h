@@ -34,6 +34,12 @@ struct OverlayNode {
   /// The node's clustering space V_x = {x} ∪ ∪_m aggrNode[m], deduplicated,
   /// sorted by id (deterministic).
   std::vector<NodeId> clustering_space() const;
+
+  /// Installs `next` as the neighbor list after a tree repair and drops the
+  /// aggr_node / aggr_crt entries of every direction not in it (the self
+  /// CRT entry stays). Entries for new neighbors appear with their first
+  /// message. Returns true when the neighbor set changed.
+  bool resync_neighbors(std::vector<NodeId> next);
 };
 
 /// Canonical text form of one node's tables: sorted direction keys, sorted
@@ -43,5 +49,8 @@ struct OverlayNode {
 /// concatenates; incremental-repair tests assert dump equality against a
 /// from-scratch system.
 std::string canonical_node_state(NodeId id, const OverlayNode& node);
+
+/// canonical_node_state of every node, in ascending id order.
+std::string canonical_dump(const OverlayNodeMap& nodes);
 
 }  // namespace bcc

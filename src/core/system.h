@@ -16,8 +16,6 @@
 // snapshot of this system's converged state), see serve/query_service.h.
 #pragma once
 
-#include <memory>
-
 #include "core/aggregation.h"
 #include "core/query.h"
 #include "tree/embedder.h"
@@ -27,15 +25,11 @@ namespace bcc {
 struct SystemOptions {
   /// Per-neighbor aggregate size limit (Algorithm 2's n_cut).
   std::size_t n_cut = 10;
-  /// Gossip cycle budget for run_to_convergence; 0 = automatic
-  /// (overlay diameter + 2, enough for both fixpoints).
+  /// Gossip cycle budget for each run; 0 = automatic
+  /// (2 × overlay diameter + 4, enough for both fixpoints).
   std::size_t max_cycles = 0;
   /// Options passed to Algorithm 1 during query processing.
   FindClusterOptions find_options = {};
-  /// apply_delta falls back to a full reset when the repaired fraction of
-  /// the membership exceeds this — past that point the memoized delta path
-  /// would recompute nearly everything anyway, with bookkeeping on top.
-  double full_refresh_threshold = 0.25;
 };
 
 /// See file comment.
@@ -45,7 +39,7 @@ class DecentralizedClusterSystem {
                              BandwidthClasses classes,
                              SystemOptions options = {});
 
-  /// Runs the background mechanisms until both protocols reach their
+  /// Runs the background gossip until Algorithms 2 and 3 reach their
   /// fixpoint (or the cycle budget runs out). Returns cycles executed.
   std::size_t run_to_convergence();
 
@@ -58,26 +52,27 @@ class DecentralizedClusterSystem {
   QueryResult query(const QueryRequest& request) const;
 
   /// Dynamic clustering (§III.B.2): the prediction framework restructured —
-  /// feed the new predicted metric and re-run gossip. Returns cycles.
+  /// feed the new predicted metric and re-run gossip. The same as
+  /// apply_delta with every host repaired, then run_to_convergence.
+  /// Returns cycles.
   std::size_t refresh(DistanceMatrix new_predicted);
 
   /// Incremental restructuring: installs the new predicted metric and marks
-  /// only state derived from `repaired` hosts dirty, *without* running
-  /// gossip — queries served in between are flagged degraded, which is the
-  /// repair-window behavior the streaming pipeline wants. Contract: every
-  /// pair whose predicted distance changed has at least one end in
-  /// `repaired` (FrameworkMaintainer::refresh_dirty guarantees this). Falls
-  /// back to a full reset_convergence when the repaired fraction exceeds
-  /// options().full_refresh_threshold. Returns true when the delta path was
-  /// taken, false on the full fallback.
+  /// the hosts in `repaired` dirty, *without* running gossip — queries
+  /// served in between are flagged degraded, which is the repair-window
+  /// behavior the streaming pipeline wants. Contract: every pair whose
+  /// predicted distance changed has at least one end in `repaired`
+  /// (FrameworkMaintainer::refresh_dirty guarantees this). The next run
+  /// recomputes only the messages that read a moved distance or a changed
+  /// table, however many hosts were repaired.
   ///
   /// `new_overlay`, when given, is the anchor tree after the repair (same
   /// membership, possibly different edges — leave+rejoin moves anchors):
   /// neighbor sets are resynced, dropped directions pruned from tables, and
-  /// every topology-touched node seeded as changed so the resulting cascade
-  /// flushes stale entries — the iteration still lands on the unique
-  /// fixpoint of the *new* tree.
-  bool apply_delta(DistanceMatrix new_predicted,
+  /// every topology-touched node resends all its messages so the resulting
+  /// cascade flushes stale entries — the iteration still lands on the
+  /// unique fixpoint of the *new* tree.
+  void apply_delta(DistanceMatrix new_predicted,
                    std::span<const NodeId> repaired,
                    const AnchorTree* new_overlay = nullptr);
 
@@ -93,36 +88,24 @@ class DecentralizedClusterSystem {
   /// fixpoint state.
   std::string canonical_dump() const;
 
-  /// Delta-path work accounting (recomputed vs provably-reused messages).
+  /// Gossip work accounting (recomputed vs provably reused messages).
   std::size_t messages_recomputed() const;
   std::size_t messages_reused() const;
 
   // Introspection (tests, experiments, serving-layer snapshots).
-  std::size_t size() const { return nodes_.size(); }
+  std::size_t size() const { return nodes().size(); }
   const OverlayNode& node(NodeId id) const;
-  const OverlayNodeMap& nodes() const { return nodes_; }
-  const AnchorTree& overlay() const { return overlay_; }
-  const DistanceMatrix& predicted() const { return predicted_; }
-  const BandwidthClasses& classes() const { return classes_; }
+  const OverlayNodeMap& nodes() const { return gossip_.nodes(); }
+  const AnchorTree& overlay() const { return gossip_.overlay(); }
+  const DistanceMatrix& predicted() const { return gossip_.predicted(); }
+  const BandwidthClasses& classes() const { return gossip_.classes(); }
   const SystemOptions& options() const { return options_; }
-  const MessageMetrics& metrics() const { return engine_.metrics(); }
-  std::size_t cycles_executed() const { return engine_.cycles_executed(); }
+  const MessageMetrics& metrics() const { return gossip_.metrics(); }
+  std::size_t cycles_executed() const { return gossip_.cycles_executed(); }
 
  private:
-  std::size_t cycle_budget() const;
-
-  /// Installs `overlay` (same membership required), prunes table entries for
-  /// dropped directions, and returns the nodes whose neighbor set changed.
-  std::vector<NodeId> resync_overlay(const AnchorTree& overlay);
-
-  AnchorTree overlay_;
-  DistanceMatrix predicted_;
-  BandwidthClasses classes_;
   SystemOptions options_;
-  OverlayNodeMap nodes_;
-  Engine engine_;
-  std::shared_ptr<NodeInfoAggregation> node_info_;
-  std::shared_ptr<CrtAggregation> crt_;
+  SyncGossip gossip_;
 };
 
 }  // namespace bcc

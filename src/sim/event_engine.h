@@ -1,5 +1,5 @@
 // Event-driven simulation engine — the analogue of PeerSim's event-driven
-// mode, complementing the cycle-driven Engine. Real deployments do not run
+// mode, complementing the lockstep SyncGossip. Real deployments do not run
 // in lockstep: nodes fire timers with jitter and messages arrive after
 // network latency. The asynchronous gossip protocols (core/async_overlay)
 // run on this engine, and tests verify they reach the *same* fixpoints as

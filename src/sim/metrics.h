@@ -31,7 +31,7 @@ namespace bcc {
 /// count_* call additionally bumps the process-wide totals in
 /// obs::Registry::global() (`bcc.sim.messages`, `bcc.sim.bytes`,
 /// `bcc.sim.faults_*`) so exporters see gossip traffic without having to
-/// find every Engine/EventEngine instance.
+/// find every SyncGossip/EventEngine instance.
 class MessageMetrics {
  public:
   MessageMetrics();

@@ -3,51 +3,58 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <string>
 
 #include "core/find_cluster.h"
+#include "core/system.h"
+#include "data/planetlab_synth.h"
 #include "test_util.h"
 #include "tree/embedder.h"
+#include "tree/maintenance.h"
 
 namespace bcc {
 namespace {
 
-/// Builds a framework + converged overlay state for a random tree metric.
-struct ConvergedSystem {
+/// A framework over a random tree metric, with distance classes spanning
+/// it; gossip has not run yet.
+struct GossipWorld {
   Framework fw;
   DistanceMatrix predicted;
-  OverlayNodeMap nodes;
   BandwidthClasses classes = BandwidthClasses({1.0});
+};
+
+GossipWorld make_world(std::size_t n, std::uint64_t seed) {
+  GossipWorld w;
+  Rng rng(seed);
+  const DistanceMatrix real = testutil::random_tree_metric(n, rng);
+  Rng order_rng(seed + 7);
+  w.fw = build_framework(real, order_rng);
+  w.predicted = w.fw.predicted_distances();
+  // Distance classes spanning the metric: bandwidths C/l for a few l.
+  const double c = kDefaultTransformC;
+  const double dmax = w.predicted.max_distance();
+  w.classes = BandwidthClasses(
+      {c / dmax, c / (dmax * 0.5), c / (dmax * 0.25), c / (dmax * 0.1)}, c);
+  return w;
+}
+
+/// A world's converged overlay state. (The NodeInfoAggregation and
+/// CrtAggregation suites test Algorithms 2 and 3 at their fixpoint.)
+struct ConvergedSystem : GossipWorld {
+  OverlayNodeMap nodes;
   std::size_t cycles = 0;
 };
 
 ConvergedSystem make_converged(std::size_t n, std::size_t n_cut,
-                               std::uint64_t seed,
-                               std::vector<double> class_bandwidths = {}) {
+                               std::uint64_t seed) {
   ConvergedSystem s;
-  Rng rng(seed);
-  const DistanceMatrix real = testutil::random_tree_metric(n, rng);
-  Rng order_rng(seed + 7);
-  s.fw = build_framework(real, order_rng);
-  s.predicted = s.fw.predicted_distances();
-  if (class_bandwidths.empty()) {
-    // Distance classes spanning the metric: pick bandwidths C/l for a few l.
-    const double c = kDefaultTransformC;
-    const double dmax = s.predicted.max_distance();
-    class_bandwidths = {c / dmax, c / (dmax * 0.5), c / (dmax * 0.25),
-                        c / (dmax * 0.1)};
-  }
-  s.classes = BandwidthClasses(std::move(class_bandwidths));
-  s.nodes = make_overlay_nodes(s.fw.anchors);
-  Engine engine;
-  auto info = std::make_shared<NodeInfoAggregation>(&s.nodes, &s.predicted,
-                                                    n_cut, nullptr);
-  auto crt = std::make_shared<CrtAggregation>(&s.nodes, &s.predicted,
-                                              &s.classes, nullptr);
-  engine.add_protocol(info);
-  engine.add_protocol(crt);
-  s.cycles = engine.run(2 * s.fw.anchors.diameter() + 8);
-  EXPECT_TRUE(info->converged());
-  EXPECT_TRUE(crt->converged());
+  static_cast<GossipWorld&>(s) = make_world(n, seed);
+  SyncGossip gossip(s.fw.anchors, s.predicted, s.classes, n_cut,
+                    2 * s.fw.anchors.diameter() + 8);
+  s.cycles = gossip.run();
+  EXPECT_TRUE(gossip.converged());
+  s.nodes = gossip.nodes();
   return s;
 }
 
@@ -266,20 +273,18 @@ TEST(Aggregation, MessageMetricsAccumulate) {
   Rng order_rng(21);
   Framework fw = build_framework(real, order_rng);
   DistanceMatrix predicted = fw.predicted_distances();
-  OverlayNodeMap nodes = make_overlay_nodes(fw.anchors);
   BandwidthClasses classes({10.0, 50.0});
-  Engine engine;
-  engine.add_protocol(std::make_shared<NodeInfoAggregation>(
-      &nodes, &predicted, 3, &engine.metrics()));
-  engine.add_protocol(std::make_shared<CrtAggregation>(
-      &nodes, &predicted, &classes, &engine.metrics()));
-  const std::size_t executed = engine.run(5);
-  EXPECT_GT(engine.metrics().messages("aggr_node"), 0u);
-  EXPECT_GT(engine.metrics().messages("aggr_crt"), 0u);
-  EXPECT_GT(engine.metrics().total_bytes(), 0u);
-  // Each cycle sends one message per directed overlay edge per protocol:
-  // 2 * (n-1) = 22 directed edges.
-  EXPECT_EQ(engine.metrics().messages("aggr_crt"), executed * 22u);
+  SyncGossip gossip(fw.anchors, predicted, classes, 3, 5);
+  const std::size_t executed = gossip.run();
+  EXPECT_GT(gossip.metrics().messages("aggr_node"), 0u);
+  EXPECT_GT(gossip.metrics().messages("aggr_crt"), 0u);
+  EXPECT_GT(gossip.metrics().total_bytes(), 0u);
+  // Each cycle sends one message per directed overlay edge per algorithm,
+  // reused or not: 2 * (n-1) = 22 directed edges.
+  EXPECT_EQ(gossip.metrics().messages("aggr_node"), executed * 22u);
+  EXPECT_EQ(gossip.metrics().messages("aggr_crt"), executed * 22u);
+  EXPECT_EQ(gossip.messages_recomputed() + gossip.messages_reused(),
+            executed * 44u);
 }
 
 TEST(Aggregation, MakeOverlayNodesMirrorsAnchorTree) {
@@ -296,20 +301,213 @@ TEST(Aggregation, MakeOverlayNodesMirrorsAnchorTree) {
 TEST(Aggregation, SingletonSystemConvergesImmediately) {
   AnchorTree t;
   t.set_root(0);
-  OverlayNodeMap nodes = make_overlay_nodes(t);
-  DistanceMatrix predicted(1);
-  BandwidthClasses classes({10.0});
-  Engine engine;
-  auto info =
-      std::make_shared<NodeInfoAggregation>(&nodes, &predicted, 3, nullptr);
-  auto crt = std::make_shared<CrtAggregation>(&nodes, &predicted, &classes,
-                                              nullptr);
-  engine.add_protocol(info);
-  engine.add_protocol(crt);
-  const std::size_t cycles = engine.run(10);
+  SyncGossip gossip(t, DistanceMatrix(1), BandwidthClasses({10.0}), 3, 10);
+  const std::size_t cycles = gossip.run();
   EXPECT_LE(cycles, 2u);
-  EXPECT_TRUE(info->converged());
-  EXPECT_EQ(nodes.at(0).aggr_crt.at(0)[0], 1u);  // singleton cluster only
+  EXPECT_TRUE(gossip.converged());
+  EXPECT_EQ(gossip.nodes().at(0).aggr_crt.at(0)[0], 1u);  // singleton only
+  EXPECT_EQ(gossip.metrics().total_messages(), 0u);
+}
+
+// ---------------------------------------------------------------- SyncGossip
+
+TEST(SyncGossip, RespectsCycleBudget) {
+  GossipWorld w = make_world(30, 31);
+  ASSERT_GT(w.fw.anchors.diameter(), 2u);
+  SyncGossip gossip(w.fw.anchors, w.predicted, w.classes, 5, 2);
+  EXPECT_EQ(gossip.run(), 2u);  // deliberately too few to converge
+  EXPECT_FALSE(gossip.converged());
+}
+
+TEST(SyncGossip, CyclesExecutedIsMonotonicAcrossRuns) {
+  GossipWorld w = make_world(25, 32);
+  SyncGossip gossip(w.fw.anchors, w.predicted, w.classes, 5, 1);
+  std::size_t total = 0;
+  while (!gossip.converged()) {
+    ASSERT_LT(total, 100u);
+    EXPECT_EQ(gossip.run(), 1u);
+    ++total;
+    EXPECT_EQ(gossip.cycles_executed(), total);
+  }
+  // A converged gossip runs no cycle and keeps its count.
+  EXPECT_EQ(gossip.run(), 0u);
+  EXPECT_EQ(gossip.cycles_executed(), total);
+}
+
+TEST(SyncGossip, EmptyOverlayConvergesAfterOneSilentCycle) {
+  SyncGossip gossip(AnchorTree(), DistanceMatrix(0), BandwidthClasses({10.0}),
+                    3);
+  EXPECT_EQ(gossip.run(), 1u);
+  EXPECT_TRUE(gossip.converged());
+  EXPECT_EQ(gossip.run(), 0u);
+  EXPECT_EQ(gossip.metrics().total_messages(), 0u);
+}
+
+TEST(SyncGossip, RepairedSetIsConsumedByOneCycle) {
+  // Two repairs on disjoint host sets, each run to convergence. The second
+  // must cost what it costs on a system converged from scratch on the
+  // intermediate matrix: the first repair's hosts are not checked again.
+  GossipWorld w = make_world(40, 33);
+  const std::vector<NodeId> first = {3, 17};
+  const std::vector<NodeId> second = {8, 29};
+  using testutil::perturb_hosts;
+  const DistanceMatrix p1 = perturb_hosts(w.predicted, first, 1.3);
+  const DistanceMatrix p2 = perturb_hosts(p1, second, 0.7);
+  SystemOptions options;
+  options.n_cut = 4;
+
+  DecentralizedClusterSystem sys(w.fw.anchors, w.predicted, w.classes,
+                                 options);
+  sys.run_to_convergence();
+  sys.refresh_delta(p1, first);
+  const std::size_t before = sys.messages_recomputed();
+  sys.refresh_delta(p2, second);
+  const std::size_t repaired_cost = sys.messages_recomputed() - before;
+
+  DecentralizedClusterSystem fresh(w.fw.anchors, p1, w.classes, options);
+  fresh.run_to_convergence();
+  const std::size_t fresh_before = fresh.messages_recomputed();
+  fresh.refresh_delta(p2, second);
+  EXPECT_EQ(repaired_cost, fresh.messages_recomputed() - fresh_before);
+  EXPECT_EQ(sys.canonical_dump(), fresh.canonical_dump());
+
+  // With no cycle in between, both sets stay dirty and the run is exact.
+  DecentralizedClusterSystem batched(w.fw.anchors, w.predicted, w.classes,
+                                     options);
+  batched.run_to_convergence();
+  batched.apply_delta(p1, first);
+  batched.apply_delta(p2, second);
+  batched.run_to_convergence();
+  EXPECT_EQ(batched.canonical_dump(), fresh.canonical_dump());
+}
+
+/// Steps `sys` (built with max_cycles = 1) and the full-recompute oracle,
+/// started from a copy of sys's current tables, cycle by cycle to their
+/// fixpoint: the dumps must be equal after every cycle and both must
+/// converge on the same cycle. Returns the cycles run.
+std::size_t expect_matches_oracle(DecentralizedClusterSystem& sys,
+                                  const std::string& label) {
+  OverlayNodeMap oracle = sys.nodes();
+  std::size_t cycles = 0;
+  bool oracle_converged = false;
+  while (!oracle_converged) {
+    if (cycles == 200) {
+      ADD_FAILURE() << label << ": oracle did not converge";
+      break;
+    }
+    oracle_converged = !testutil::full_recompute_cycle(
+        oracle, sys.predicted(), sys.classes(), sys.options().n_cut);
+    EXPECT_EQ(sys.run_to_convergence(), 1u) << label << " cycle " << cycles;
+    ++cycles;
+    EXPECT_EQ(sys.canonical_dump(), canonical_dump(oracle))
+        << label << " cycle " << cycles;
+    EXPECT_EQ(sys.converged(), oracle_converged)
+        << label << " cycle " << cycles;
+  }
+  EXPECT_EQ(sys.run_to_convergence(), 0u) << label;
+  return cycles;
+}
+
+TEST(SyncGossip, MatchesFullRecomputeOracleFromScratchOnTreeMetrics) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed + 300);
+    const std::size_t n = 6 + static_cast<std::size_t>(rng.below(30));
+    GossipWorld w = make_world(n, seed + 300);
+    SystemOptions options;
+    options.n_cut = 2 + static_cast<std::size_t>(rng.below(6));
+    options.max_cycles = 1;
+    DecentralizedClusterSystem sys(w.fw.anchors, w.predicted, w.classes,
+                                   options);
+    expect_matches_oracle(sys, "tree seed " + std::to_string(seed));
+    // Change-driven from scratch: messages whose sender settled are reused.
+    EXPECT_GT(sys.messages_reused(), 0u) << "seed " << seed;
+  }
+}
+
+TEST(SyncGossip, MatchesFullRecomputeOracleFromScratchOnPlanetLabWorlds) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed + 500);
+    SynthOptions synth;
+    synth.hosts = 24 + static_cast<std::size_t>(rng.below(30));
+    const SynthDataset data = synthesize_planetlab(synth, rng);
+    Rng order_rng(seed + 501);
+    const Framework fw = build_framework(data.distances, order_rng);
+    const DistanceMatrix predicted = fw.predicted_distances();
+    const double c = kDefaultTransformC;
+    const double dmax = predicted.max_distance();
+    SystemOptions options;
+    options.n_cut = 3 + static_cast<std::size_t>(rng.below(8));
+    options.max_cycles = 1;
+    DecentralizedClusterSystem sys(
+        fw.anchors, predicted,
+        BandwidthClasses({c / dmax, c / (dmax * 0.5), c / (dmax * 0.2)}, c),
+        options);
+    expect_matches_oracle(sys, "planetlab seed " + std::to_string(seed));
+  }
+}
+
+TEST(SyncGossip, MatchesFullRecomputeOracleThroughRandomRepairs) {
+  // Random apply_delta sequences through the streaming pipeline: dirty
+  // hosts -> FrameworkMaintainer::refresh_dirty (leave+rejoin moves anchors,
+  // so the overlay changes) -> apply_delta. Every third step disturbs 40% of
+  // the hosts, past the maintainer's full-rebuild threshold.
+  std::size_t overlay_changes = 0;
+  std::size_t full_rebuilds = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed + 700);
+    SynthOptions synth;
+    synth.hosts = 30;
+    const SynthDataset data = synthesize_planetlab(synth, rng);
+    std::deque<DistanceMatrix> reals = {data.distances};
+    FrameworkMaintainer maintainer(&reals.back());
+    for (NodeId h = 0; h < synth.hosts; ++h) maintainer.join(h);
+    DistanceMatrix predicted(synth.hosts);
+    maintainer.write_predicted(&predicted);
+    const double c = kDefaultTransformC;
+    const double dmax = predicted.max_distance();
+    SystemOptions options;
+    options.n_cut = 4;
+    options.max_cycles = 1;
+    DecentralizedClusterSystem sys(
+        maintainer.anchors(), predicted,
+        BandwidthClasses({c / dmax, c / (dmax * 0.5), c / (dmax * 0.2)}, c),
+        options);
+    expect_matches_oracle(sys, "repair seed " + std::to_string(seed));
+    for (int step = 0; step < 6; ++step) {
+      const std::string label = "repair seed " + std::to_string(seed) +
+                                " step " + std::to_string(step);
+      const std::size_t count =
+          step % 3 == 2 ? synth.hosts * 2 / 5
+                        : 1 + static_cast<std::size_t>(rng.below(3));
+      std::vector<NodeId> dirty = rng.sample_indices(synth.hosts, count);
+      std::sort(dirty.begin(), dirty.end());
+      reals.push_back(testutil::perturb_hosts(reals.back(), dirty,
+                                              rng.uniform(0.6, 1.6)));
+      const auto report = maintainer.refresh_dirty(&reals.back(), dirty);
+      if (report.full_rebuild) {
+        ++full_rebuilds;
+        maintainer.write_predicted(&predicted);
+      } else {
+        maintainer.write_predicted_delta(&predicted, report.repaired);
+      }
+      const OverlayNodeMap before = sys.nodes();
+      sys.apply_delta(predicted, report.repaired, &maintainer.anchors());
+      for (const auto& [x, node] : sys.nodes()) {
+        if (node.neighbors != before.at(x).neighbors) {
+          ++overlay_changes;
+          break;
+        }
+      }
+      expect_matches_oracle(sys, label);
+      DecentralizedClusterSystem fresh(maintainer.anchors(), predicted,
+                                       sys.classes(), options);
+      while (!fresh.converged()) fresh.run_to_convergence();
+      EXPECT_EQ(sys.canonical_dump(), fresh.canonical_dump()) << label;
+    }
+  }
+  // The sequences did exercise what they claim to.
+  EXPECT_GT(overlay_changes, 0u);
+  EXPECT_GT(full_rebuilds, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "metric/four_point.h"
 #include "test_util.h"
@@ -17,6 +18,14 @@ struct EmbedCase {
   std::size_t n;
   EndSearch search;
 };
+
+/// Prints a case as e.g. `exhaustive_seed1_n3`. ctest names parameterized
+/// tests after the printed value, which without this is the struct's raw
+/// bytes, padding included, and so changes between builds.
+void PrintTo(const EmbedCase& c, std::ostream* os) {
+  *os << (c.search == EndSearch::kExhaustive ? "exhaustive" : "descent")
+      << "_seed" << c.seed << "_n" << c.n;
+}
 
 class ExactEmbedding : public ::testing::TestWithParam<EmbedCase> {};
 

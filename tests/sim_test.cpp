@@ -1,76 +1,9 @@
-#include "sim/engine.h"
+#include "sim/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include "common/assert.h"
-
 namespace bcc {
 namespace {
-
-/// Counts its own executions; converges after `limit` cycles.
-class CountingProtocol : public Protocol {
- public:
-  explicit CountingProtocol(std::size_t limit) : limit_(limit) {}
-  void execute_cycle(std::size_t cycle) override {
-    last_cycle_ = cycle;
-    ++executions_;
-  }
-  bool converged() const override { return executions_ >= limit_; }
-  std::string name() const override { return "counting"; }
-
-  std::size_t executions() const { return executions_; }
-  std::size_t last_cycle() const { return last_cycle_; }
-
- private:
-  std::size_t limit_;
-  std::size_t executions_ = 0;
-  std::size_t last_cycle_ = 0;
-};
-
-TEST(Engine, RunsUntilAllProtocolsConverge) {
-  Engine e;
-  auto fast = std::make_shared<CountingProtocol>(2);
-  auto slow = std::make_shared<CountingProtocol>(5);
-  e.add_protocol(fast);
-  e.add_protocol(slow);
-  EXPECT_EQ(e.run(100), 5u);
-  // Converged protocols keep executing until the whole engine stops
-  // (synchronous cycles step everything).
-  EXPECT_EQ(fast->executions(), 5u);
-  EXPECT_EQ(slow->executions(), 5u);
-}
-
-TEST(Engine, RespectsCycleBudget) {
-  Engine e;
-  auto p = std::make_shared<CountingProtocol>(1000);
-  e.add_protocol(p);
-  EXPECT_EQ(e.run(7), 7u);
-  EXPECT_EQ(p->executions(), 7u);
-}
-
-TEST(Engine, CycleNumbersAreGloballyMonotonic) {
-  Engine e;
-  auto p = std::make_shared<CountingProtocol>(3);
-  e.add_protocol(p);
-  e.run(10);
-  EXPECT_EQ(p->last_cycle(), 2u);
-  // A second run continues the global cycle counter.
-  auto q = std::make_shared<CountingProtocol>(2);
-  e.add_protocol(q);
-  e.run(10);
-  EXPECT_EQ(e.cycles_executed(), 5u);
-  EXPECT_EQ(q->last_cycle(), 4u);
-}
-
-TEST(Engine, NoProtocolsConvergesInstantly) {
-  Engine e;
-  EXPECT_EQ(e.run(10), 0u);
-}
-
-TEST(Engine, NullProtocolRejected) {
-  Engine e;
-  EXPECT_THROW(e.add_protocol(nullptr), ContractViolation);
-}
 
 TEST(MessageMetrics, RecordsPerCategory) {
   MessageMetrics m;

@@ -22,6 +22,8 @@
 namespace bcc {
 namespace {
 
+using testutil::perturb_hosts;
+
 SynthDataset small_dataset(std::uint64_t seed, std::size_t hosts = 30) {
   Rng rng(seed);
   SynthOptions options;
@@ -59,20 +61,6 @@ struct RepairWorld {
     sys.run_to_convergence();
   }
 };
-
-/// Scales every link of `hosts` in `m` by `factor` (a correlated
-/// distance-space disturbance confined to those hosts' links).
-DistanceMatrix perturb_hosts(const DistanceMatrix& m,
-                             const std::vector<NodeId>& hosts, double factor) {
-  DistanceMatrix out = m;
-  for (NodeId h : hosts) {
-    for (NodeId v = 0; v < m.size(); ++v) {
-      if (v == h) continue;
-      out.set(h, v, out.at(h, v) * factor);
-    }
-  }
-  return out;
-}
 
 TEST(StreamingRepair, IncrementalRepairMatchesFromScratchFixpoint) {
   const SynthDataset data = small_dataset(11);
@@ -149,8 +137,9 @@ TEST(StreamingRepair, RepeatedSmallRepairsStayExact) {
 TEST(StreamingRepair, LargeDisturbanceFallsBackToFullRefresh) {
   const SynthDataset data = small_dataset(17);
   RepairWorld w(data);
-  // 40% of hosts dirty: past both the maintainer's and the system's
-  // full-refresh thresholds.
+  // 40% of hosts dirty: past the maintainer's full-refresh threshold, so the
+  // tree is rebuilt and every host is repaired. The system re-gossips from
+  // its pruned tables and must still land on the from-scratch fixpoint.
   std::vector<NodeId> dirty;
   for (NodeId h = 0; h < w.real.size(); h += 2) {
     dirty.push_back(h);
@@ -161,8 +150,7 @@ TEST(StreamingRepair, LargeDisturbanceFallsBackToFullRefresh) {
   EXPECT_TRUE(report.full_rebuild);
   EXPECT_EQ(report.repaired.size(), w.real.size());
   w.maintainer.write_predicted(&w.predicted);
-  EXPECT_FALSE(w.sys.apply_delta(w.predicted, report.repaired,
-                                 &w.maintainer.anchors()));
+  w.sys.apply_delta(w.predicted, report.repaired, &w.maintainer.anchors());
   w.sys.run_to_convergence();
   ASSERT_TRUE(w.sys.converged());
   DecentralizedClusterSystem fresh(w.maintainer.anchors(), w.predicted,

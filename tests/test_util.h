@@ -8,9 +8,12 @@
 #include <filesystem>
 #include <string>
 #include <system_error>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/aggregation.h"
+#include "core/find_cluster.h"
 #include "euclid/point2.h"
 #include "metric/distance_matrix.h"
 #include "tree/weighted_tree.h"
@@ -68,6 +71,21 @@ inline DistanceMatrix noisy_tree_metric(std::size_t n, Rng& rng,
   return d;
 }
 
+/// Scales every link of `hosts` in `m` by `factor` (a correlated
+/// distance-space disturbance confined to those hosts' links).
+inline DistanceMatrix perturb_hosts(const DistanceMatrix& m,
+                                    const std::vector<NodeId>& hosts,
+                                    double factor) {
+  DistanceMatrix out = m;
+  for (NodeId h : hosts) {
+    for (NodeId v = 0; v < m.size(); ++v) {
+      if (v == h) continue;
+      out.set(h, v, out.at(h, v) * factor);
+    }
+  }
+  return out;
+}
+
 /// Random 2-D points in the unit square scaled by `extent`.
 inline std::vector<Point2> random_points(std::size_t n, Rng& rng,
                                          double extent = 100.0) {
@@ -95,6 +113,55 @@ inline std::vector<NodeId> iota_universe(std::size_t n) {
   std::vector<NodeId> u(n);
   for (std::size_t i = 0; i < n; ++i) u[i] = i;
   return u;
+}
+
+/// Slow oracle for SyncGossip: one lockstep cycle of Algorithms 2–3 in which
+/// every message is recomputed from committed state with compute_prop_* and
+/// every self entry comes straight from max_cluster_sizes_for_classes.
+/// Returns true when the cycle changed any table; a run has converged after
+/// the first cycle that returns false.
+inline bool full_recompute_cycle(OverlayNodeMap& nodes,
+                                 const DistanceMatrix& predicted,
+                                 const BandwidthClasses& classes,
+                                 std::size_t n_cut) {
+  bool changed = false;
+  auto commit = [&](auto& table, NodeId m, auto value) {
+    auto [it, inserted] = table.try_emplace(m);
+    if (inserted || it->second != value) {
+      it->second = std::move(value);
+      changed = true;
+    }
+  };
+  std::vector<std::tuple<NodeId, NodeId, std::vector<NodeId>>> node_props;
+  for (const auto& [x, node] : nodes) {
+    for (NodeId m : node.neighbors) {
+      node_props.emplace_back(
+          x, m, compute_prop_node(nodes, predicted, n_cut, m, x));
+    }
+  }
+  for (auto& [x, m, prop] : node_props) {
+    commit(nodes.at(x).aggr_node, m, std::move(prop));
+  }
+  std::vector<double> ls;
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    ls.push_back(classes.distance_at(i));
+  }
+  for (auto& [x, node] : nodes) {
+    commit(node.aggr_crt, x,
+           max_cluster_sizes_for_classes(predicted, node.clustering_space(),
+                                         ls));
+  }
+  std::vector<std::tuple<NodeId, NodeId, std::vector<std::size_t>>> crt_props;
+  for (const auto& [x, node] : nodes) {
+    for (NodeId m : node.neighbors) {
+      crt_props.emplace_back(x, m,
+                             compute_prop_crt(nodes, classes.size(), m, x));
+    }
+  }
+  for (auto& [x, m, prop] : crt_props) {
+    commit(nodes.at(x).aggr_crt, m, std::move(prop));
+  }
+  return changed;
 }
 
 /// A fresh directory under temp_directory_path(), removed on destruction.

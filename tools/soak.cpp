@@ -175,10 +175,9 @@ void run_seed(std::uint64_t seed, std::size_t hosts, std::size_t epochs,
     } else {
       maintainer.write_predicted_delta(&predicted, rep.repaired);
     }
-    const bool delta =
-        sys.apply_delta(predicted, rep.repaired, &maintainer.anchors());
+    sys.apply_delta(predicted, rep.repaired, &maintainer.anchors());
     if (!rep.repaired.empty()) {
-      delta ? ++totals.repairs_delta : ++totals.repairs_full;
+      rep.full_rebuild ? ++totals.repairs_full : ++totals.repairs_delta;
     }
     totals.repaired_hosts += rep.repaired.size();
     for (NodeId h : rep.repaired) view.last_repair[h] = e;
